@@ -9,19 +9,24 @@
 /// tamper detection, solver-free replay via tv::checkCertificate, the path
 /// budget downgrade, rejection of the seeded miscompiles (PDL_TV_MUTATE,
 /// including the fusion-window bug), obligation-stability of the
-/// superinstruction-fused lowering, and strict certification plus replay
-/// of every committed core under both bytecode lowerings.
+/// superinstruction-fused lowering, strict certification plus replay of
+/// every committed core under both bytecode lowerings, and the pin of every
+/// core's certificate against cores_pdl/MANIFEST.json.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "backend/Compile.h"
 #include "backend/Fuse.h"
 #include "cores/Core.h"
+#include "obs/Json.h"
 #include "tv/Tv.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 using namespace pdl;
 using namespace pdl::backend;
@@ -340,6 +345,53 @@ TEST(TvTest, AllCoresCertifyStrictAndReplay) {
     tv::CheckResult R = tv::checkCertificate(
         *Cert, *cores::sharedProgram(K), *cores::sharedModuleIR(K));
     EXPECT_TRUE(R.Ok) << cores::coreKindId(K) << ": " << R.Error;
+  }
+}
+
+// The certificates are pinned: every core's certificate digest and every
+// program's obligations digest must match cores_pdl/MANIFEST.json. A change
+// that alters a certified artifact fails here by design. Regenerate the
+// manifest with `build/tools/dump_cores` (run from the repository root)
+// only for deliberate compiler changes, and review the diff.
+TEST(TvTest, CertificatesMatchCommittedManifest) {
+  std::ifstream In(std::string(PDL_SOURCE_DIR) + "/cores_pdl/MANIFEST.json");
+  ASSERT_TRUE(In.good()) << "cannot read cores_pdl/MANIFEST.json";
+  std::stringstream Text;
+  Text << In.rdbuf();
+  std::string Err;
+  std::optional<obs::Json> Manifest = obs::Json::parse(Text.str(), &Err);
+  ASSERT_TRUE(Manifest.has_value()) << Err;
+  const obs::Json *Cores = Manifest->get("cores");
+  ASSERT_NE(Cores, nullptr);
+  ASSERT_EQ(Cores->items().size(), cores::allCoreKinds().size());
+
+  auto Hex = [](uint64_t V) {
+    char Buf[32];
+    std::snprintf(Buf, sizeof(Buf), "%016llx", (unsigned long long)V);
+    return std::string(Buf);
+  };
+  for (cores::CoreKind K : cores::allCoreKinds()) {
+    const char *Id = cores::coreKindId(K);
+    const obs::Json *Row = nullptr;
+    for (const obs::Json &C : Cores->items())
+      if (const obs::Json *CId = C.get("id"); CId && CId->asString() == Id)
+        Row = &C;
+    ASSERT_NE(Row, nullptr) << Id << " missing from the manifest";
+    auto Cert = cores::certify(K);
+    ASSERT_NE(Cert, nullptr);
+    const obs::Json *Digest = Row->get("certificate_digest");
+    ASSERT_NE(Digest, nullptr) << Id;
+    EXPECT_EQ(Hex(Cert->digest()), Digest->asString()) << Id;
+    const obs::Json *Progs = Row->get("program_digests");
+    ASSERT_NE(Progs, nullptr) << Id;
+    EXPECT_EQ(Progs->members().size(), Cert->Programs.size()) << Id;
+    for (const tv::ProgramCert &P : Cert->Programs) {
+      std::string Label = P.Pipe + "/" + P.Label;
+      const obs::Json *Pinned = Progs->get(Label);
+      ASSERT_NE(Pinned, nullptr) << Id << " " << Label;
+      EXPECT_EQ(Hex(P.ObligationsDigest), Pinned->asString())
+          << Id << " " << Label;
+    }
   }
 }
 
