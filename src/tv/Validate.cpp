@@ -22,6 +22,8 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <unordered_map>
+#include <unordered_set>
 
 using namespace pdl;
 using namespace pdl::tv;
@@ -92,9 +94,7 @@ public:
     T.Kind = Term::K::Const;
     T.Width = B.width();
     T.KVal = B;
-    std::ostringstream OS;
-    OS << "c:" << B.zext() << ':' << B.width();
-    return intern(std::move(T), OS.str());
+    return intern(std::move(T));
   }
 
   const Term *var(uint16_t Slot, unsigned Width) {
@@ -102,9 +102,7 @@ public:
     T.Kind = Term::K::Var;
     T.Width = Width;
     T.Slot = Slot;
-    std::ostringstream OS;
-    OS << "v:" << Slot << ':' << Width;
-    return intern(std::move(T), OS.str());
+    return intern(std::move(T));
   }
 
   const Term *hook(bool IsExtern, const void *Site, unsigned Seq,
@@ -116,12 +114,7 @@ public:
     T.SiteOrd = siteOrd(Site);
     T.Seq = Seq;
     T.Args = std::move(Args);
-    std::ostringstream OS;
-    OS << "h:" << (IsExtern ? 'x' : 'm') << T.SiteOrd << ':' << Seq << ':'
-       << Width;
-    for (const Term *A : T.Args)
-      OS << ':' << A;
-    return intern(std::move(T), OS.str());
+    return intern(std::move(T));
   }
 
   /// Applies \p Opc, computing the result width and checking the width
@@ -209,11 +202,7 @@ public:
     T.Args.push_back(B);
     if (C)
       T.Args.push_back(C);
-    std::ostringstream OS;
-    OS << "a:" << static_cast<int>(Opc) << ':' << Imm;
-    for (const Term *A : T.Args)
-      OS << ':' << A;
-    return intern(std::move(T), OS.str());
+    return intern(std::move(T));
   }
 
   unsigned siteOrd(const void *Site) {
@@ -323,20 +312,53 @@ private:
     }
   }
 
-  const Term *intern(Term &&T, std::string Key) {
-    auto It = Map.find(Key);
-    if (It != Map.end())
-      return It->second;
+  /// Hash-consing: two terms are the same node when every field agrees —
+  /// kind, opcode, width, constant value, slot, imm, hook kind, site and
+  /// sequence — and their operands are the same (already interned) nodes.
+  /// Fields a kind does not use keep their defaults, so comparing all of
+  /// them is comparing the ones that kind uses.
+  struct FieldHash {
+    size_t operator()(const Term *T) const {
+      uint64_t H = mix(0, static_cast<uint64_t>(T->Kind) |
+                              static_cast<uint64_t>(T->Opc) << 8 |
+                              uint64_t(T->IsExtern) << 16 |
+                              uint64_t(T->Slot) << 24 |
+                              uint64_t(T->Width) << 40);
+      H = mix(H, T->KVal.zext());
+      H = mix(H, uint64_t(T->Imm) << 32 | T->SiteOrd);
+      H = mix(H, T->Seq);
+      for (const Term *A : T->Args)
+        H = mix(H, reinterpret_cast<uintptr_t>(A));
+      return static_cast<size_t>(H);
+    }
+    static uint64_t mix(uint64_t H, uint64_t V) {
+      H = (H ^ V) * 0x9e3779b97f4a7c15ull;
+      return H ^ (H >> 29);
+    }
+  };
+  struct FieldEq {
+    bool operator()(const Term *A, const Term *B) const {
+      return A->Kind == B->Kind && A->Opc == B->Opc && A->Width == B->Width &&
+             A->KVal.zext() == B->KVal.zext() &&
+             A->KVal.width() == B->KVal.width() && A->Slot == B->Slot &&
+             A->Imm == B->Imm && A->IsExtern == B->IsExtern &&
+             A->SiteOrd == B->SiteOrd && A->Seq == B->Seq &&
+             A->Args == B->Args;
+    }
+  };
+
+  const Term *intern(Term &&T) {
     Store.push_back(std::move(T));
-    const Term *P = &Store.back();
-    Map.emplace(std::move(Key), P);
-    return P;
+    auto [It, New] = Index.insert(&Store.back());
+    if (!New)
+      Store.pop_back();
+    return *It;
   }
 
   std::deque<Term> Store;
-  std::map<std::string, const Term *> Map;
-  std::map<const void *, unsigned> SiteOrds;
-  std::map<const Term *, uint64_t> Hashes;
+  std::unordered_set<const Term *, FieldHash, FieldEq> Index;
+  std::unordered_map<const void *, unsigned> SiteOrds;
+  std::unordered_map<const Term *, uint64_t> Hashes;
 };
 
 /// Depth- and length-capped rendering for certificate notes.
