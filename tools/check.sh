@@ -165,6 +165,15 @@ python3 tools/check_bench_json.py --service "$BUILD_DIR"/service-cold.jsonl
 python3 tools/check_bench_json.py --service "$BUILD_DIR"/service-warm.jsonl
 cmp <(sed 's/"cached":true/"cached":false/' "$BUILD_DIR"/service-warm.jsonl) \
     "$BUILD_DIR"/service-cold.jsonl
+# A batch of 400 requests, far more than the socket buffers hold, must
+# finish: pdlsim keeps a bounded window of requests in flight instead of
+# writing the whole batch before reading any response.
+timeout 120 "$BUILD_DIR"/tools/pdlsim --socket="$SVC_SOCK" --seed=1 \
+    --count=100 --json > "$BUILD_DIR"/service-window.jsonl || {
+    echo "check.sh: pdlsim --count=100 failed or hung"; exit 1; }
+python3 tools/check_bench_json.py --service "$BUILD_DIR"/service-window.jsonl
+[ "$(wc -l < "$BUILD_DIR"/service-window.jsonl)" -eq 400 ] || {
+    echo "check.sh: pdlsim --count=100 did not answer 400 requests"; exit 1; }
 kill -TERM "$SVC_PID"
 wait "$SVC_PID"
 trap - EXIT

@@ -25,6 +25,8 @@
 // backoff, and a connection dropped mid-batch is reconnected and the
 // outstanding requests resubmitted (idempotent by request digest — a job
 // the daemon already finished replays byte-identically from its cache).
+// A batch keeps at most 16 requests in flight, so it never outgrows the
+// socket buffers.
 //
 // With --json every raw response line goes to stdout (one JSON object per
 // line, the bench-tooling service schema); a terminal transport failure
@@ -249,27 +251,30 @@ int main(int argc, char **argv) {
     Reqs = sim::expandFuzzMatrix(O);
   }
 
-  // Pipeline everything, then read responses — the daemon guarantees
-  // per-client submission order, so response I matches request I. When
-  // the connection drops (or times out) mid-batch, reconnect and
-  // resubmit the still-unanswered suffix: requests are idempotent by
-  // digest, so a job the dead connection already completed is replayed
-  // from the daemon's cache rather than re-simulated.
+  // Pipeline a bounded window of requests, reading a response before
+  // sending past it: a client that wrote the whole batch first would fill
+  // the socket in both directions once the daemon blocks writing responses
+  // nobody reads. The daemon guarantees per-client submission order, so
+  // response I matches request I. When the connection drops (or times out)
+  // mid-batch, reconnect and resubmit the sent-but-unanswered suffix:
+  // requests are idempotent by digest, so a job the dead connection
+  // already completed is replayed from the daemon's cache rather than
+  // re-simulated.
+  constexpr size_t Window = 16;
   uint64_t Cached = 0, Failures = 0, ResponseErrors = 0, Resubmitted = 0;
   size_t Next = 0; // index of the next response we are owed
+  size_t Sent = 0; // requests [Next, Sent) are in flight
   uint64_t RetryBudget = Retries;
-  bool NeedSend = true;
   while (Next < Reqs.size()) {
+    bool SendFailed = false;
+    for (; Sent < Reqs.size() && Sent - Next < Window; ++Sent)
+      if (!Client.sendLine(
+              service::encodeSimRequest(uint64_t(Sent + 1), Reqs[Sent]))) {
+        SendFailed = true;
+        break;
+      }
     std::optional<std::string> Line;
-    if (NeedSend) {
-      size_t I = Next;
-      for (; I < Reqs.size(); ++I)
-        if (!Client.sendLine(
-                service::encodeSimRequest(uint64_t(I + 1), Reqs[I])))
-          break;
-      NeedSend = I < Reqs.size(); // send failure: fall into recovery below
-    }
-    if (!NeedSend)
+    if (!SendFailed)
       Line = Client.recvLine();
     if (!Line) {
       if (!RetryBudget--)
@@ -283,8 +288,8 @@ int main(int argc, char **argv) {
       Client.close();
       if (!Client.connectWithRetry(SocketPath, Policy, &Err))
         return TransportExit(Err);
-      Resubmitted += Reqs.size() - Next;
-      NeedSend = true;
+      Resubmitted += Sent - Next;
+      Sent = Next;
       continue;
     }
     ++Next;
