@@ -65,8 +65,8 @@ enum class Op : uint8_t {
   ZExt,    // A = zext(B) to width C
   SExt,    // A = sext(B) to width C
   Concat,  // A = B ++ C          (B is the high part)
-  MemRead, // A = hooks.readMem(*MemSites[Imm], zext(B))
-  Extern,  // A = hooks.callExtern(*ExternSites[Imm], &frame[B], C)
+  MemRead, // A = hooks.readMem(program, Imm, zext(B)); site MemSites[Imm]
+  Extern,  // A = hooks.callExtern(program, Imm, &frame[B], C)
   BrFalse, // if (B == 0) goto Imm
   BrTrue,  // if (B != 0) goto Imm
   Jump,    // goto Imm
@@ -137,6 +137,12 @@ struct ExprProgram {
   std::vector<Bits> Pool;
   std::vector<const ast::MemReadExpr *> MemSites;
   std::vector<const ast::ExternCallExpr *> ExternSites;
+  /// Interned identity of each hook site, parallel to MemSites and
+  /// ExternSites: the owning PipeProgram's Access index of every memory
+  /// read, and its Externs index of every extern call. The executor's
+  /// hooks address lock and module state through these, never by name.
+  std::vector<uint16_t> MemAccess;
+  std::vector<uint16_t> ExternMods;
   /// Non-null once native::attachModule has bound a compiled artifact:
   /// bc::exec dispatches here instead of interpreting Code. Never set on
   /// uncertified bytecode; always semantically identical to Code.
@@ -144,13 +150,15 @@ struct ExprProgram {
 };
 
 /// Services the two opcodes that escape the frame. One virtual dispatch per
-/// site replaces the per-call std::function indirection of EvalHooks.
+/// site replaces the per-call std::function indirection of EvalHooks. A
+/// site is named by its program and its index in the program's MemSites /
+/// ExternSites (and the parallel MemAccess / ExternMods) tables.
 class Hooks {
 public:
   virtual ~Hooks() = default;
-  virtual Bits readMem(const ast::MemReadExpr &Site, uint64_t Addr) = 0;
-  virtual Bits callExtern(const ast::ExternCallExpr &Site, const Bits *Args,
-                          unsigned NumArgs) = 0;
+  virtual Bits readMem(const ExprProgram &P, unsigned Site, uint64_t Addr) = 0;
+  virtual Bits callExtern(const ExprProgram &P, unsigned Site,
+                          const Bits *Args, unsigned NumArgs) = 0;
 };
 
 /// The interpreter entry point (Compile.cpp): runs \p P's Code. Callers
@@ -189,6 +197,37 @@ struct OpProg {
   const ExprProgram *E1 = nullptr;    // mem-write value / predictor update
   std::vector<const ExprProgram *> Args; // pipe-call argument programs
   uint16_t Dest = NoSlot; // assign/sync-read dest; pipe-call result slot
+  /// Interned operands (indices into the owning PipeProgram's tables):
+  uint16_t Site = NoSlot;   // lock / mem-write / sync-read: Access
+  uint16_t Handle = NoSlot; // spec call / verify / update: Handles
+  uint16_t Callee = NoSlot; // pipe call: Callees
+  uint16_t Extern = NoSlot; // verify's predictor update: Externs
+};
+
+/// A reservation key: one (memory, address expression, access mode) the
+/// pipe reserves. A thread holds at most one live reservation per key, so
+/// the executor keeps a thread's reservations in an array indexed by key.
+struct ResKey {
+  uint16_t Mem = 0; // index into the pipe's declared memories
+  uint8_t Mode = 0; // an hw::Access value
+};
+
+/// One memory-access site: a lock operation, a memory write, a synchronous
+/// read or a combinational read hook. Keys lists the reservation keys the
+/// site may act on, in lookup order, NoSlot-padded: a reserve names its own
+/// key; a mode-less block or release tries exclusive, then read, then
+/// write; reads try read then exclusive; writes try write then exclusive.
+/// Keys no operation of the pipe reserves are left out.
+struct AccessSite {
+  uint16_t Mem = 0; // index into the pipe's declared memories
+  uint16_t Keys[3] = {NoSlot, NoSlot, NoSlot};
+};
+
+/// A compiler-inserted checkpoint (Section 2.5): memory Mem is
+/// checkpointed when a speculating thread fires stage Stage.
+struct CkptSite {
+  uint16_t Mem = 0;
+  unsigned Stage = 0;
 };
 
 /// Per-stage mirror of the stage graph: programs are indexed positionally,
@@ -225,6 +264,21 @@ struct PipeProgram {
   /// Stage mirrors indexed by Stage::Id. Empty for modules compiled without
   /// a stage graph (the sequential oracle only needs statement programs).
   std::vector<StageProg> Stages;
+
+  /// Lock and speculation state interned once per compiled circuit, so the
+  /// executor addresses thread, lock and probe state by index. ResKeys in
+  /// first-reserve order; Handles (spec handle names) and Callees / Externs
+  /// (pipe and extern module names) in first-use order; Ckpts in memory
+  /// name order, the order rollbacks are applied in.
+  std::vector<ResKey> ResKeys;
+  std::vector<AccessSite> Access;
+  std::vector<std::string> Handles;
+  std::vector<CkptSite> Ckpts;
+  std::vector<std::string> Callees;
+  std::vector<std::string> Externs;
+  /// Access index of each combinational read by AST node, for the tree
+  /// evaluator's hook, which sees only the node.
+  std::unordered_map<const ast::MemReadExpr *, uint16_t> ReadAccess;
 
   /// Program storage (deque: stable addresses as programs are appended).
   std::deque<ExprProgram> Programs;

@@ -6,6 +6,9 @@
 
 #include "backend/Compile.h"
 
+#include "hw/Lock.h"
+#include "passes/PathCondition.h"
+
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
@@ -289,11 +292,11 @@ dispatch:
     NEXT;
   }
   CASE(MemRead) {
-    F[I->A] = H.readMem(*P.MemSites[I->Imm], F[I->B].zext());
+    F[I->A] = H.readMem(P, I->Imm, F[I->B].zext());
     NEXT;
   }
   CASE(Extern) {
-    F[I->A] = H.callExtern(*P.ExternSites[I->Imm], &F[I->B], I->C);
+    F[I->A] = H.callExtern(P, I->Imm, &F[I->B], I->C);
     NEXT;
   }
   CASE(BrFalse) {
@@ -448,17 +451,25 @@ Mutation requestedMutation() {
 
 class PipeCompiler {
 public:
-  PipeCompiler(const ast::Program &AST, const PipeDecl &Pipe, PipeProgram &PP)
-      : AST(AST), Pipe(Pipe), PP(PP), Mut(requestedMutation()) {}
+  PipeCompiler(const ast::Program &AST, const PipeDecl &Pipe, PipeProgram &PP,
+               const std::map<std::string, unsigned> *CkptStages)
+      : AST(AST), Pipe(Pipe), PP(PP), CkptStages(CkptStages),
+        Mut(requestedMutation()) {}
 
   void run(const StageGraph *G) {
-    // Pass 1: discover every named variable and its declared width.
+    // Pass 1: discover every named variable and its declared width, and
+    // intern the reservation keys every access site is resolved against.
     for (const Param &P : Pipe.Params)
       noteWidth(P.Name, P.Ty.width());
     for (const StmtPtr &S : Pipe.Body)
       collectStmt(*S.get());
     PP.NumVars = static_cast<unsigned>(PP.SlotNames.size());
     PP.FrameSize = PP.NumVars;
+    for (const StmtPtr &S : Pipe.Body)
+      noteReserves(*S.get());
+    if (CkptStages)
+      for (const auto &[Mem, Stage] : *CkptStages)
+        PP.Ckpts.push_back({memIndex(Mem), Stage});
 
     // Pass 2: compile statement-operand and if-condition programs.
     for (const StmtPtr &S : Pipe.Body)
@@ -481,8 +492,15 @@ private:
   const ast::Program &AST;
   const PipeDecl &Pipe;
   PipeProgram &PP;
+  const std::map<std::string, unsigned> *CkptStages; // null: no stage graph
   Mutation Mut;
   std::vector<unsigned> VarWidths;
+  // Interning tables behind PP.ResKeys and PP.Access, and the address
+  // text of each address expression, printed once.
+  std::map<std::tuple<uint16_t, std::string, uint8_t>, uint16_t> KeyIdx;
+  std::unordered_map<const Expr *, std::string> AddrTexts;
+  std::map<std::tuple<uint16_t, uint16_t, uint16_t, uint16_t>, uint16_t>
+      SiteIdx;
 
   // ---- per-program state ----
   ExprProgram *Cur = nullptr;
@@ -631,6 +649,105 @@ private:
     case Stmt::Kind::StageSep:
       return;
     }
+  }
+
+  //===--------------------------------------------------------------------===//
+  // Lock and speculation interning
+  //===--------------------------------------------------------------------===//
+
+  uint16_t memIndex(const std::string &Mem) const {
+    for (size_t I = 0, N = Pipe.Mems.size(); I != N; ++I)
+      if (Pipe.Mems[I].Name == Mem)
+        return static_cast<uint16_t>(I);
+    assert(false && "access to an undeclared memory");
+    return 0;
+  }
+
+  static hw::Access accessFor(LockMode M) {
+    switch (M) {
+    case LockMode::Read:
+      return hw::Access::Read;
+    case LockMode::Write:
+      return hw::Access::Write;
+    case LockMode::None:
+      return hw::Access::ReadWrite;
+    }
+    return hw::Access::ReadWrite;
+  }
+
+  /// Reservation keys are (memory, address text, mode) — the address text
+  /// is what makes `rf[rs1]` reserved in one stage and blocked in another
+  /// the same key.
+  std::tuple<uint16_t, std::string, uint8_t> keyOf(uint16_t Mem,
+                                                   const Expr *Addr,
+                                                   hw::Access M) {
+    auto [It, New] = AddrTexts.try_emplace(Addr);
+    if (New && Addr)
+      It->second = addrKey(*Addr);
+    return {Mem, It->second, static_cast<uint8_t>(M)};
+  }
+
+  void noteReserves(const Stmt &S) {
+    if (const auto *I = dyn_cast<IfStmt>(&S)) {
+      for (const StmtPtr &T : I->thenBody())
+        noteReserves(*T.get());
+      for (const StmtPtr &T : I->elseBody())
+        noteReserves(*T.get());
+      return;
+    }
+    const auto *L = dyn_cast<LockStmt>(&S);
+    if (!L || (L->op() != LockOp::Reserve && L->op() != LockOp::Acquire))
+      return;
+    uint16_t Mem = memIndex(L->mem());
+    hw::Access M = accessFor(L->mode());
+    auto [It, New] = KeyIdx.try_emplace(keyOf(Mem, L->addr(), M),
+                                        PP.ResKeys.size());
+    if (New)
+      PP.ResKeys.push_back({Mem, static_cast<uint8_t>(M)});
+  }
+
+  /// Interns the access site of \p Mem[\p Addr] that looks its reservation
+  /// up under the modes in \p Order.
+  uint16_t accessSite(const std::string &MemName, const Expr *Addr,
+                      std::initializer_list<hw::Access> Order) {
+    AccessSite A;
+    A.Mem = memIndex(MemName);
+    unsigned N = 0;
+    for (hw::Access M : Order) {
+      auto It = KeyIdx.find(keyOf(A.Mem, Addr, M));
+      if (It != KeyIdx.end())
+        A.Keys[N++] = It->second;
+    }
+    auto [It, New] = SiteIdx.try_emplace(
+        {A.Mem, A.Keys[0], A.Keys[1], A.Keys[2]}, PP.Access.size());
+    if (New)
+      PP.Access.push_back(A);
+    return It->second;
+  }
+
+  uint16_t readSite(const std::string &Mem, const Expr *Addr) {
+    return accessSite(Mem, Addr, {hw::Access::Read, hw::Access::ReadWrite});
+  }
+
+  uint16_t lockSite(const LockStmt &L) {
+    if (L.op() == LockOp::Reserve || L.op() == LockOp::Acquire)
+      return accessSite(L.mem(), L.addr(), {accessFor(L.mode())});
+    if (L.mode() == LockMode::Read)
+      return accessSite(L.mem(), L.addr(), {hw::Access::Read});
+    if (L.mode() == LockMode::Write)
+      return accessSite(L.mem(), L.addr(), {hw::Access::Write});
+    return accessSite(L.mem(), L.addr(),
+                      {hw::Access::ReadWrite, hw::Access::Read,
+                       hw::Access::Write});
+  }
+
+  static uint16_t nameIndex(std::vector<std::string> &Names,
+                            const std::string &N) {
+    auto It = std::find(Names.begin(), Names.end(), N);
+    if (It != Names.end())
+      return static_cast<uint16_t>(It - Names.begin());
+    Names.push_back(N);
+    return static_cast<uint16_t>(Names.size() - 1);
   }
 
   //===--------------------------------------------------------------------===//
@@ -883,6 +1000,10 @@ private:
       uint16_t AS = materialize(compileExpr(*M->addr(), Sc));
       uint32_t Site = static_cast<uint32_t>(Cur->MemSites.size());
       Cur->MemSites.push_back(M);
+      auto [Known, New] = PP.ReadAccess.try_emplace(M);
+      if (New)
+        Known->second = readSite(M->mem(), M->addr());
+      Cur->MemAccess.push_back(Known->second);
       uint16_t D = allocTemp(); // never value-numbered: hooks are stateful
       emit(Op::MemRead, D, AS, 0, Site);
       return Val::slot(D);
@@ -900,6 +1021,7 @@ private:
         emitMove(allocTemp(), V);
       uint32_t Site = static_cast<uint32_t>(Cur->ExternSites.size());
       Cur->ExternSites.push_back(C);
+      Cur->ExternMods.push_back(nameIndex(PP.Externs, C->module()));
       uint16_t D = allocTemp();
       emit(Op::Extern, D, Base, static_cast<uint16_t>(Args.size()), Site);
       return Val::slot(D);
@@ -1048,6 +1170,7 @@ private:
           const auto *Rd = cast<SyncReadStmt>(O.S);
           OP.E0 = compileExprProgram(*Rd->addr());
           OP.Dest = PP.SlotIndex.at(Rd->name());
+          OP.Site = readSite(Rd->mem(), Rd->addr());
           break;
         }
         case Stmt::Kind::PipeCall: {
@@ -1056,34 +1179,48 @@ private:
             OP.Args.push_back(compileExprProgram(*A));
           if (C->hasResult() && !C->isSpec())
             OP.Dest = PP.SlotIndex.at(C->resultName());
+          if (C->isSpec())
+            OP.Handle = nameIndex(PP.Handles, C->resultName());
+          OP.Callee = nameIndex(PP.Callees, C->pipe());
           break;
         }
         case Stmt::Kind::MemWrite: {
           const auto *W = cast<MemWriteStmt>(O.S);
           OP.E0 = compileExprProgram(*W->addr());
           OP.E1 = compileExprProgram(*W->value());
+          OP.Site = accessSite(W->mem(), W->addr(),
+                               {hw::Access::Write, hw::Access::ReadWrite});
           break;
         }
         case Stmt::Kind::Output:
           OP.E0 = compileExprProgram(*cast<OutputStmt>(O.S)->value());
           break;
-        case Stmt::Kind::Lock:
-          if (const Expr *A = cast<LockStmt>(O.S)->addr())
+        case Stmt::Kind::Lock: {
+          const auto *L = cast<LockStmt>(O.S);
+          if (const Expr *A = L->addr())
             OP.E0 = compileExprProgram(*A);
+          OP.Site = lockSite(*L);
           break;
+        }
         case Stmt::Kind::Verify: {
           const auto *V = cast<VerifyStmt>(O.S);
           OP.E0 = compileExprProgram(*V->actual());
+          OP.Handle = nameIndex(PP.Handles, V->handle());
           // Predictor-update arguments; the update method is void, so the
           // executor invokes it directly instead of via the Extern opcode.
-          if (const ExternCallExpr *U = V->predictorUpdate())
+          if (const ExternCallExpr *U = V->predictorUpdate()) {
             for (const ExprPtr &A : U->args())
               OP.Args.push_back(compileExprProgram(*A));
+            OP.Extern = nameIndex(PP.Externs, U->module());
+          }
           break;
         }
-        case Stmt::Kind::Update:
-          OP.E0 = compileExprProgram(*cast<UpdateStmt>(O.S)->newPred());
+        case Stmt::Kind::Update: {
+          const auto *U = cast<UpdateStmt>(O.S);
+          OP.E0 = compileExprProgram(*U->newPred());
+          OP.Handle = nameIndex(PP.Handles, U->handle());
           break;
+        }
         default:
           break;
         }
@@ -1098,8 +1235,10 @@ private:
 };
 
 void compilePipe(const ast::Program &AST, const PipeDecl &Pipe,
-                 const StageGraph *G, PipeProgram &PP) {
-  PipeCompiler(AST, Pipe, PP).run(G);
+                 const StageGraph *G,
+                 const std::map<std::string, unsigned> *CkptStages,
+                 PipeProgram &PP) {
+  PipeCompiler(AST, Pipe, PP, CkptStages).run(G);
 }
 
 } // namespace
@@ -1108,13 +1247,13 @@ std::shared_ptr<const ModuleIR> bc::compileModule(const CompiledProgram &CP) {
   auto M = std::make_shared<ModuleIR>();
   for (const auto &Entry : CP.Pipes)
     compilePipe(*CP.AST, *Entry.second.Decl, &Entry.second.Graph,
-                M->Pipes[Entry.first]);
+                &Entry.second.Spec.CheckpointStage, M->Pipes[Entry.first]);
   return M;
 }
 
 std::shared_ptr<const ModuleIR> bc::compileModule(const ast::Program &AST) {
   auto M = std::make_shared<ModuleIR>();
   for (const PipeDecl &P : AST.Pipes)
-    compilePipe(AST, P, nullptr, M->Pipes[P.Name]);
+    compilePipe(AST, P, nullptr, nullptr, M->Pipes[P.Name]);
   return M;
 }

@@ -172,6 +172,8 @@ uint64_t fuseOnce(const ExprProgram &In, ExprProgram &Out, FuseStats &S,
   Out.Pool = In.Pool;
   Out.MemSites = In.MemSites;
   Out.ExternSites = In.ExternSites;
+  Out.MemAccess = In.MemAccess;
+  Out.ExternMods = In.ExternMods;
   Out.Code.clear();
   Out.Code.reserve(N);
 

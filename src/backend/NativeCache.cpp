@@ -167,14 +167,14 @@ void memTrampoline(void *Hooks, const void *Prog, unsigned Site,
                    unsigned long long Addr, void *Ret) {
   const ExprProgram &P = *static_cast<const ExprProgram *>(Prog);
   *static_cast<Bits *>(Ret) =
-      static_cast<bc::Hooks *>(Hooks)->readMem(*P.MemSites[Site], Addr);
+      static_cast<bc::Hooks *>(Hooks)->readMem(P, Site, Addr);
 }
 
 void extTrampoline(void *Hooks, const void *Prog, unsigned Site,
                    const void *Args, unsigned N, void *Ret) {
   const ExprProgram &P = *static_cast<const ExprProgram *>(Prog);
   *static_cast<Bits *>(Ret) = static_cast<bc::Hooks *>(Hooks)->callExtern(
-      *P.ExternSites[Site], static_cast<const Bits *>(Args), N);
+      P, Site, static_cast<const Bits *>(Args), N);
 }
 
 //===----------------------------------------------------------------------===//

@@ -31,14 +31,15 @@ SeqInterpreter::SeqInterpreter(const Program &Prog) : Prog(Prog) {
   TreeMode = std::getenv("PDL_EVAL_TREE") != nullptr;
 }
 
-Bits SeqInterpreter::BcHooks::readMem(const MemReadExpr &Site,
-                                      uint64_t Addr) {
-  return S->memory(Pipe->Name, Site.mem()).read(Addr);
+Bits SeqInterpreter::BcHooks::readMem(const bc::ExprProgram &P,
+                                      unsigned Site, uint64_t Addr) {
+  return S->memory(Pipe->Name, P.MemSites[Site]->mem()).read(Addr);
 }
 
-Bits SeqInterpreter::BcHooks::callExtern(const ExternCallExpr &Site,
-                                         const Bits *Args,
+Bits SeqInterpreter::BcHooks::callExtern(const bc::ExprProgram &P,
+                                         unsigned SiteIdx, const Bits *Args,
                                          unsigned NumArgs) {
+  const ExternCallExpr &Site = *P.ExternSites[SiteIdx];
   auto It = S->Externs.find(Site.module());
   assert(It != S->Externs.end() && "unbound extern module");
   std::vector<Bits> V(Args, Args + NumArgs);

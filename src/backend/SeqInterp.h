@@ -96,8 +96,9 @@ private:
   struct BcHooks final : bc::Hooks {
     SeqInterpreter *S = nullptr;
     const ast::PipeDecl *Pipe = nullptr;
-    Bits readMem(const ast::MemReadExpr &Site, uint64_t Addr) override;
-    Bits callExtern(const ast::ExternCallExpr &Site, const Bits *Args,
+    Bits readMem(const bc::ExprProgram &P, unsigned Site,
+                 uint64_t Addr) override;
+    Bits callExtern(const bc::ExprProgram &P, unsigned Site, const Bits *Args,
                     unsigned NumArgs) override;
   };
 

@@ -38,7 +38,9 @@ using support::BinWriter;
 namespace {
 
 constexpr uint32_t kMagic = 0x50444C53;   // "PDLS"
-constexpr uint32_t kVersion = 1;
+/// Version 2: threads carry their lock, spec-handle and checkpoint state as
+/// arrays addressed by interned index instead of name-keyed maps.
+constexpr uint32_t kVersion = 2;
 
 uint64_t fnv1a64(const std::string &S) {
   uint64_t H = 1469598103934665603ull;
@@ -173,32 +175,16 @@ void System::saveThread(BinWriter &W, const Thread &T) const {
   for (const Bits &V : T.Frame)
     W.bits(V);
   W.u64(T.MySpec);
-  W.u32(static_cast<uint32_t>(T.Res.size()));
-  for (const auto &[Key, Id] : T.Res) {
-    W.str(Key);
-    W.u64(Id);
-  }
-  W.u32(static_cast<uint32_t>(T.ResInfo.size()));
-  for (const auto &[Id, Rec] : T.ResInfo) {
-    W.u64(Id);
-    W.str(Rec.Mem);
-    W.str(Rec.Key);
-    W.u32(Rec.MemI);
+  for (const ResRec &Rec : T.Res) {
+    W.u64(Rec.Id);
     W.u64(Rec.Addr);
-    W.u8(static_cast<uint8_t>(Rec.Mode));
-    W.b(Rec.Written);
     W.u64(Rec.WrittenVal);
+    W.b(Rec.Written);
   }
-  W.u32(static_cast<uint32_t>(T.Handles.size()));
-  for (const auto &[Name, Id] : T.Handles) {
-    W.str(Name);
+  for (hw::SpecId Id : T.Handles)
     W.u64(Id);
-  }
-  W.u32(static_cast<uint32_t>(T.Ckpts.size()));
-  for (const auto &[Mem, Id] : T.Ckpts) {
-    W.str(Mem);
+  for (hw::CkptId Id : T.Ckpts)
     W.u64(Id);
-  }
   W.u32(T.UnresolvedSpec);
   W.u32(T.PendingResp);
   saveTrace(W, T.Trace);
@@ -218,41 +204,18 @@ bool System::loadThread(BinReader &R, Thread &T) {
   for (uint32_t I = 0; I != FrameN && R.ok(); ++I)
     T.Frame.push_back(R.bits());
   T.MySpec = R.u64();
-  uint32_t NRes = R.u32();
-  T.Res.clear();
-  for (uint32_t I = 0; I != NRes && R.ok(); ++I) {
-    std::string Key = R.str();
-    T.Res[Key] = R.u64();
-  }
-  uint32_t NInfo = R.u32();
-  T.ResInfo.clear();
-  for (uint32_t I = 0; I != NInfo && R.ok(); ++I) {
-    hw::ResId Id = R.u64();
-    ResRec Rec;
-    Rec.Mem = R.str();
-    Rec.Key = R.str();
-    Rec.MemI = R.u32();
+  T.NumRes = 0;
+  for (ResRec &Rec : T.Res) {
+    Rec.Id = R.u64();
     Rec.Addr = R.u64();
-    uint8_t Mode = R.u8();
-    if (Mode > 2)
-      return false;
-    Rec.Mode = static_cast<hw::Access>(Mode);
-    Rec.Written = R.b();
     Rec.WrittenVal = R.u64();
-    T.ResInfo[Id] = std::move(Rec);
+    Rec.Written = R.b();
+    T.NumRes += Rec.Id != 0;
   }
-  uint32_t NHandles = R.u32();
-  T.Handles.clear();
-  for (uint32_t I = 0; I != NHandles && R.ok(); ++I) {
-    std::string Name = R.str();
-    T.Handles[Name] = R.u64();
-  }
-  uint32_t NCkpts = R.u32();
-  T.Ckpts.clear();
-  for (uint32_t I = 0; I != NCkpts && R.ok(); ++I) {
-    std::string Mem = R.str();
-    T.Ckpts[Mem] = R.u64();
-  }
+  for (hw::SpecId &Id : T.Handles)
+    Id = R.u64();
+  for (hw::CkptId &Id : T.Ckpts)
+    Id = R.u64();
   T.UnresolvedSpec = R.u32();
   T.PendingResp = R.u32();
   if (!loadTrace(R, T.Trace))
@@ -415,7 +378,7 @@ std::string System::snapshot() {
         saveThread(W, T);
     }
     W.u32(static_cast<uint32_t>(PI->TagQueues.size()));
-    for (const std::deque<TagTok> &Tags : PI->TagQueues) {
+    for (const hw::Fifo<TagTok> &Tags : PI->TagQueues) {
       W.u32(static_cast<uint32_t>(Tags.size()));
       for (const TagTok &Tok : Tags) {
         W.u32(Tok.Tag);
@@ -556,7 +519,7 @@ bool System::restore(const std::string &Blob, std::string *Err) {
     uint32_t NEntry = R.u32();
     if (!R.ok() || NEntry > PI->Entry.capacity())
       return Fail("corrupt entry queue");
-    std::deque<Thread> Entry;
+    std::vector<Thread> Entry;
     for (uint32_t I = 0; I != NEntry; ++I) {
       Thread T;
       if (!loadThread(R, T))
@@ -573,7 +536,7 @@ bool System::restore(const std::string &Blob, std::string *Err) {
       uint32_t N = R.u32();
       if (!R.ok() || N > F.capacity())
         return Fail("corrupt edge FIFO");
-      std::deque<Thread> Items;
+      std::vector<Thread> Items;
       for (uint32_t I = 0; I != N; ++I) {
         Thread T;
         if (!loadThread(R, T))
@@ -585,17 +548,16 @@ bool System::restore(const std::string &Blob, std::string *Err) {
 
     if (R.u32() != PI->TagQueues.size())
       return Fail("tag queue count mismatch");
-    for (std::deque<TagTok> &Tags : PI->TagQueues) {
+    for (hw::Fifo<TagTok> &Tags : PI->TagQueues) {
       uint32_t N = R.u32();
-      if (!R.ok())
+      if (!R.ok() || N > Tags.capacity())
         return Fail("corrupt tag queue");
-      Tags.clear();
-      for (uint32_t I = 0; I != N; ++I) {
-        TagTok Tok;
+      std::vector<TagTok> Toks(N);
+      for (TagTok &Tok : Toks) {
         Tok.Tag = R.u32();
         Tok.Tid = R.u64();
-        Tags.push_back(Tok);
       }
+      Tags.restoreItems(std::move(Toks));
     }
 
     if (R.u32() != PI->Regions.size())

@@ -26,39 +26,6 @@ using namespace pdl::ast;
 using namespace pdl::backend;
 using obs::StallCause;
 
-namespace {
-
-char modeChar(hw::Access M) {
-  switch (M) {
-  case hw::Access::Read:
-    return 'R';
-  case hw::Access::Write:
-    return 'W';
-  case hw::Access::ReadWrite:
-    return 'X';
-  }
-  return '?';
-}
-
-hw::Access accessFor(LockMode M) {
-  switch (M) {
-  case LockMode::Read:
-    return hw::Access::Read;
-  case LockMode::Write:
-    return hw::Access::Write;
-  case LockMode::None:
-    return hw::Access::ReadWrite;
-  }
-  return hw::Access::ReadWrite;
-}
-
-std::string resKey(const std::string &Mem, const std::string &AddrText,
-                   hw::Access M) {
-  return Mem + "#" + AddrText + "#" + modeChar(M);
-}
-
-} // namespace
-
 System::System(const CompiledProgram &CP, ElabConfig Cfg)
     : CP(CP), Cfg(std::move(Cfg)) {
   assert(CP.ok() && "elaborating a program with errors");
@@ -88,7 +55,7 @@ System::System(const CompiledProgram &CP, ElabConfig Cfg)
       if (Stages.size() < 2)
         continue; // single-stage regions are atomic by construction
       LockRegion R;
-      R.Mem = Mem;
+      R.Mem = static_cast<uint16_t>(PI->MemIdx.at(Mem));
       R.First = *Stages.begin();
       R.Last = *Stages.rbegin();
       PI->Regions.push_back(R);
@@ -115,7 +82,8 @@ System::System(const CompiledProgram &CP, ElabConfig Cfg)
   // address-stable for the System's lifetime.
   for (PipeInstance *PI : PipeSeq) {
     const StageGraph &G = PI->CP->Graph;
-    PI->TagQueues.resize(G.Stages.size());
+    PI->TagQueues.assign(G.Stages.size(),
+                         hw::Fifo<TagTok>(std::max(1u, Cfg.TagDepth)));
     PI->PredFifos.resize(G.Stages.size());
     PI->SuccFifos.resize(G.Stages.size());
     PI->ForkJoins.resize(G.Stages.size());
@@ -150,13 +118,30 @@ System::System(const CompiledProgram &CP, ElabConfig Cfg)
     if (FusedMode || NativeMode)
       IR = bc::fuseModule(*IR);
   }
-  unsigned MaxFrame = 0;
+  unsigned MaxFrame = 0, MaxMems = 0;
   for (PipeInstance *PI : PipeSeq) {
     PI->Prog = IR->pipe(PI->Name);
     assert(PI->Prog && "pipe missing from compiled circuit");
-    MaxFrame = std::max(MaxFrame, PI->Prog->FrameSize);
+    const bc::PipeProgram &PP = *PI->Prog;
+    if (PP.ResKeys.size() > MaxResKeys || PP.Handles.size() > MaxHandles ||
+        PP.Ckpts.size() > MaxCkpts) {
+      std::fprintf(stderr,
+                   "pdl: pipe '%s' uses %zu reservation keys, %zu spec "
+                   "handles and %zu checkpointed memories; the executor "
+                   "supports %u, %u and %u\n",
+                   PI->Name.c_str(), PP.ResKeys.size(), PP.Handles.size(),
+                   PP.Ckpts.size(), MaxResKeys, MaxHandles, MaxCkpts);
+      std::abort();
+    }
+    for (const std::string &Callee : PP.Callees)
+      PI->Callees.push_back(&pipe(Callee));
+    PI->ExternByIdx.assign(PP.Externs.size(), nullptr);
+    MaxFrame = std::max(MaxFrame, PP.FrameSize);
+    MaxMems = std::max<unsigned>(MaxMems, PI->MemNames.size());
   }
   ProbeScratch.resize(MaxFrame);
+  LockProbes.resize(MaxMems);
+  LockProbeStamp.assign(MaxMems, 0);
   Dispatch.Sys = this;
   for (obs::TraceSink *S : this->Cfg.Sinks)
     if (S)
@@ -226,6 +211,10 @@ hw::HazardLock &System::lock(MemHandle M) {
 
 void System::bindExtern(const std::string &Name, hw::ExternModule *Module) {
   Externs[Name] = Module;
+  for (PipeInstance *PI : PipeSeq)
+    for (size_t I = 0, N = PI->Prog->Externs.size(); I != N; ++I)
+      if (PI->Prog->Externs[I] == Name)
+        PI->ExternByIdx[I] = Module;
 }
 
 void System::setHaltOnWrite(MemHandle M, uint64_t Addr) {
@@ -264,6 +253,12 @@ void System::elaborateLocks() {
       PI->LockByIdx[PI->MemIdx.at(M.Name)] = L.get();
       PI->Locks.emplace(M.Name, std::move(L));
     }
+    // Compiler-inserted checkpoints, by the stage that takes them.
+    PI->CkptsAt.assign(PI->CP->Graph.Stages.size(), {});
+    const std::vector<bc::CkptSite> &Ckpts = PI->Prog->Ckpts;
+    for (size_t I = 0, N = Ckpts.size(); I != N; ++I)
+      if (PI->LockByIdx[Ckpts[I].Mem])
+        PI->CkptsAt[Ckpts[I].Stage].push_back(static_cast<uint16_t>(I));
   }
 }
 
@@ -324,15 +319,20 @@ bool System::canAccept(PipeHandle H) {
   return P.Entry.size() + pendingEnqCount(&P.Entry) < P.Entry.capacity();
 }
 
+System::Thread System::newThread(PipeInstance &P) {
+  Thread T;
+  T.Tid = NextTid++;
+  T.Frame = P.Prog->InitFrame;
+  return T;
+}
+
 void System::start(PipeHandle H, std::vector<Bits> Args) {
   elaborateLocks();
   IdleStreak = 0; // fresh work: restart the no-progress countdown
   PipeInstance &P = *PipeSeq[H.index()];
   const PipeDecl *Decl = P.CP->Decl;
   assert(Args.size() == Decl->Params.size() && "argument count mismatch");
-  Thread T;
-  T.Tid = NextTid++;
-  T.Frame = P.Prog->InitFrame;
+  Thread T = newThread(P);
   for (unsigned I = 0, N = Args.size(); I != N; ++I)
     T.Frame[P.Prog->ParamSlots[I]] = Args[I];
   T.Trace.Args = Args;
@@ -408,7 +408,7 @@ void System::emitThreadEvent(obs::Event::Kind K, PipeInstance &P,
 }
 
 void System::noteOutcome(PipeInstance &P, const Stage &S, StallCause C,
-                         uint64_t Tid, const std::string *CauseMem) {
+                         uint64_t Tid, uint16_t CauseMem) {
   // Injected DropStageOutcome: the outcome never reaches the counters or
   // the trace bus (all counters skip together, so the executor's internal
   // balance assert stays consistent; the stall-balance monitor flags the
@@ -444,18 +444,11 @@ void System::noteOutcome(PipeInstance &P, const Stage &S, StallCause C,
     ++Stats.ProbeAttempts;
     break;
   }
-  if (Bus.enabled()) {
-    uint16_t Mem = obs::NoMem;
-    if (C == StallCause::Lock && CauseMem) {
-      auto It = P.MemIdx.find(*CauseMem);
-      if (It != P.MemIdx.end())
-        Mem = static_cast<uint16_t>(It->second);
-    }
-    Bus.emit(obs::Event::stageOutcome(Stats.Cycles,
-                                      static_cast<uint16_t>(P.Index),
-                                      static_cast<uint16_t>(S.Id), C, Tid,
-                                      Mem));
-  }
+  if (Bus.enabled())
+    Bus.emit(obs::Event::stageOutcome(
+        Stats.Cycles, static_cast<uint16_t>(P.Index),
+        static_cast<uint16_t>(S.Id), C, Tid,
+        C == StallCause::Lock ? CauseMem : obs::NoMem));
   if (traceOn() && C != StallCause::Idle)
     std::fprintf(stderr, "  %s %s/%s tid=%llu\n", obs::stallCauseName(C),
                  P.Name.c_str(), S.Name.c_str(), (unsigned long long)Tid);
@@ -498,11 +491,11 @@ System::ArmedFault *System::armedFault(hw::FaultKind K,
 }
 
 bool System::consumeFault(hw::FaultKind K, PipeInstance &P, uint64_t Tid,
-                          const std::string *Mem) {
+                          unsigned MemI) {
   ArmedFault *F = armedFault(K, P);
   if (!F)
     return false;
-  if (Mem && !F->Plan.Mem.empty() && F->Plan.Mem != *Mem)
+  if (MemI != ~0u && !F->Plan.Mem.empty() && F->Plan.Mem != P.MemNames[MemI])
     return false;
   if (--F->Countdown > 0)
     return false;
@@ -603,59 +596,60 @@ void System::armFault(const hw::FaultPlan &Plan) {
 // Evaluation hooks
 //===----------------------------------------------------------------------===//
 
-System::MemSite &System::memSite(PipeInstance &P, const std::string &Mem) {
-  assert(LocksBuilt && "memory sites resolve after lock elaboration");
-  auto [It, New] = MemSiteCache.try_emplace(&Mem);
-  MemSite &MS = It->second;
-  if (New) {
-    MS.Idx = P.MemIdx.at(Mem);
-    MS.M = P.MemByIdx[MS.Idx];
-    MS.L = P.LockByIdx[MS.Idx];
-    MS.Model = P.ModelByIdx[MS.Idx];
+hw::LockProbe &System::lockProbe(unsigned MemI) {
+  hw::LockProbe &LP = LockProbes[MemI];
+  if (LockProbeStamp[MemI] != ProbeStamp) {
+    LockProbeStamp[MemI] = ProbeStamp;
+    LP.Released.clear();
+    LP.Reserved.clear();
   }
-  return MS;
+  return LP;
 }
 
-const std::string &System::siteResKey(const std::string &Mem,
-                                      const ast::Expr &Addr, hw::Access M) {
-  std::array<std::string, 3> &Keys = ResKeyCache[&Addr];
-  std::string &Key = Keys[static_cast<unsigned>(M)];
-  if (Key.empty())
-    Key = resKey(Mem, addrKey(Addr), M);
-  return Key;
+int System::probeReserved(uint16_t K) const {
+  for (size_t I = 0, N = ProbeReserved.size(); I != N; ++I)
+    if (ProbeReserved[I].Key == K)
+      return static_cast<int>(I);
+  return -1;
 }
 
-Bits System::hookReadMem(const MemReadExpr &Site, uint64_t Addr) {
+uint16_t System::heldKey(const Thread &T, const bc::AccessSite &A,
+                         bool Probe) const {
+  for (uint16_t K : A.Keys) {
+    if (K == bc::NoSlot)
+      break;
+    if (T.Res[K].Id || (Probe && probeReserved(K) >= 0))
+      return K;
+  }
+  return bc::NoSlot;
+}
+
+Bits System::hookReadMem(uint16_t Site, uint64_t Addr) {
   PipeInstance &P = *CurP;
-  Thread &T = *CurT;
-  WalkCtx &Ctx = *CurCtx;
-  MemSite &MS = memSite(P, Site.mem());
-  hw::HazardLock *L = MS.L;
+  const Thread &T = *CurT;
+  const bc::AccessSite &A = P.Prog->Access[Site];
+  hw::HazardLock *L = P.LockByIdx[A.Mem];
   if (!L)
-    return MS.M->read(Addr);
-  bool Probe = Ctx.Mode == WalkMode::Probe;
-  for (hw::Access M : {hw::Access::Read, hw::Access::ReadWrite}) {
-    const std::string &Key = siteResKey(Site.mem(), *Site.addr(), M);
-    auto It = T.Res.find(Key);
-    if (It != T.Res.end())
-      return Probe ? L->readP(Ctx.Probes[L], It->second)
-                   : L->read(It->second);
-    // Reserved earlier in this stage during the probe pass: peek the
-    // value a fresh reservation would see.
-    if (Probe && Ctx.ProbeReserved.count(Key))
-      return L->peek(Addr, M);
-  }
-  assert(false && "combinational read of a locked memory without an "
-                  "acquired reservation");
-  return Bits(0, MS.M->elemWidth());
+    return P.MemByIdx[A.Mem]->read(Addr);
+  bool Probe = CurCtx->Mode == WalkMode::Probe;
+  uint16_t K = heldKey(T, A, Probe);
+  assert(K != bc::NoSlot && "combinational read of a locked memory without "
+                            "an acquired reservation");
+  if (K == bc::NoSlot)
+    return Bits(0, P.MemByIdx[A.Mem]->elemWidth());
+  if (hw::ResId R = T.Res[K].Id)
+    return Probe ? L->readP(lockProbe(A.Mem), R) : L->read(R);
+  // Reserved earlier in this stage during the probe pass: peek the value a
+  // fresh reservation would see.
+  return L->peek(Addr, static_cast<hw::Access>(P.Prog->ResKeys[K].Mode));
 }
 
-Bits System::hookCallExtern(const ExternCallExpr &Site, const Bits *Args,
-                            unsigned NumArgs) {
-  auto It = Externs.find(Site.module());
-  assert(It != Externs.end() && "unbound extern module");
+Bits System::hookCallExtern(const ExternCallExpr &Call, uint16_t Mod,
+                            const Bits *Args, unsigned NumArgs) {
+  hw::ExternModule *M = CurP->ExternByIdx[Mod];
+  assert(M && "unbound extern module");
   ArgScratch.assign(Args, Args + NumArgs);
-  auto R = It->second->invoke(Site.method(), ArgScratch);
+  auto R = M->invoke(Call.method(), ArgScratch);
   assert(R && "extern value method returned nothing");
   return *R;
 }
@@ -669,7 +663,7 @@ const EvalHooks &System::hooksFor(PipeInstance &P, Thread &T, WalkCtx &Ctx) {
   // Tree-mode shims over the shared hook bodies (the bytecode interpreter
   // reaches them through the virtual BcDispatch instead).
   HotHooks.ReadMem = [this](const MemReadExpr &Site, uint64_t Addr) {
-    return hookReadMem(Site, Addr);
+    return hookReadMem(CurP->Prog->ReadAccess.at(&Site), Addr);
   };
   HotHooks.CallExtern = [this](const ExternCallExpr &Site,
                                const std::vector<Bits> &Args) {
@@ -717,7 +711,7 @@ System::Thread *System::stageInput(PipeInstance &P, const Stage &S,
     return DrainDead(P.Entry);
   }
   if (S.isJoin()) {
-    std::deque<TagTok> &Tags = P.TagQueues[S.Id];
+    hw::Fifo<TagTok> &Tags = P.TagQueues[S.Id];
     while (!Tags.empty()) {
       TagTok Tok = Tags.front();
       assert(Tok.Tag < S.Preds.size() && "bad coordination tag");
@@ -782,10 +776,13 @@ void System::bindWalkFrame(PipeInstance &P, Thread &T, WalkCtx &Ctx) {
   } else {
     // The probe pass must leave the thread untouched on a stall: work on
     // the reusable scratch frame. Only the named-variable prefix needs
-    // copying; scratch slots are defined before use by construction.
+    // copying; scratch slots are defined before use by construction. The
+    // probe's lock state starts empty.
     std::copy(T.Frame.begin(), T.Frame.begin() + P.Prog->NumVars,
               ProbeScratch.begin());
     Ctx.Frame = ProbeScratch.data();
+    ProbeReserved.clear();
+    ++ProbeStamp;
   }
   if (TreeMode) {
     Ctx.TreeVars = Env();
@@ -825,38 +822,13 @@ System::FireResult System::walkOp(PipeInstance &P, const Stmt &S,
 
   // Records the stall cause for the probe pass's outcome attribution (one
   // cause per stall; the first failing op wins since the walk stops).
-  auto Stall = [&](StallCause C, const std::string *Mem = nullptr) {
+  auto Stall = [&](StallCause C, uint16_t Mem = obs::NoMem) {
     Ctx.Cause = C;
     Ctx.CauseMem = Mem;
     return FireResult::Stall;
   };
 
-  // Resolves a lock operand to its reservation key, trying the exact mode
-  // first, then the others (mode-less block/release).
-  auto ResolveKey = [&](const std::string &Mem, const ast::Expr &Addr,
-                        LockMode Mode) -> const std::string & {
-    static const hw::Access TryRead[] = {hw::Access::Read};
-    static const hw::Access TryWrite[] = {hw::Access::Write};
-    static const hw::Access TryAll[] = {hw::Access::ReadWrite,
-                                        hw::Access::Read, hw::Access::Write};
-    const hw::Access *Try = TryAll;
-    size_t N = 3;
-    if (Mode == LockMode::Read) {
-      Try = TryRead;
-      N = 1;
-    } else if (Mode == LockMode::Write) {
-      Try = TryWrite;
-      N = 1;
-    }
-    for (size_t I = 0; I != N; ++I) {
-      const std::string &K = siteResKey(Mem, Addr, Try[I]);
-      if (T.Res.count(K) || Ctx.ProbeReserved.count(K))
-        return K;
-    }
-    assert(false && "lock operation without a matching reservation");
-    return siteResKey(Mem, Addr, Try[0]);
-  };
-
+  const bc::PipeProgram &PP = *P.Prog;
   switch (S.kind()) {
   case Stmt::Kind::Assign: {
     const auto *A = cast<AssignStmt>(&S);
@@ -866,115 +838,106 @@ System::FireResult System::walkOp(PipeInstance &P, const Stmt &S,
 
   case Stmt::Kind::Lock: {
     const auto *L = cast<LockStmt>(&S);
-    MemSite &MS = memSite(P, L->mem());
-    hw::HazardLock *Lock = MS.L;
+    const bc::AccessSite &Site = PP.Access[OP.Site];
+    hw::HazardLock *Lock = P.LockByIdx[Site.Mem];
     assert(Lock && "lock op on a memory without a lock");
     uint64_t Addr = Eval(OP.E0, *L->addr()).zext();
-    hw::Access M = accessFor(L->mode());
 
     switch (L->op()) {
     case LockOp::Reserve:
     case LockOp::Acquire: {
-      const std::string &Key = siteResKey(L->mem(), *L->addr(), M);
+      uint16_t Key = Site.Keys[0];
+      hw::Access M = static_cast<hw::Access>(PP.ResKeys[Key].Mode);
       if (!Commit) {
-        hw::LockProbe &Probe = Ctx.Probes[Lock];
+        hw::LockProbe &Probe = lockProbe(Site.Mem);
         if (!Lock->canReserveP(Probe, Addr, M))
-          return Stall(StallCause::Lock, &L->mem());
+          return Stall(StallCause::Lock, Site.Mem);
         if (L->op() == LockOp::Acquire && !Lock->readyNowP(Probe, Addr, M))
-          return Stall(StallCause::Lock, &L->mem());
-        Ctx.ProbeReserved[Key] = {Lock, Addr, M};
+          return Stall(StallCause::Lock, Site.Mem);
+        int PR = probeReserved(Key);
+        if (PR < 0)
+          ProbeReserved.push_back({Key, Addr});
+        else
+          ProbeReserved[PR].Addr = Addr;
         Probe.Reserved.emplace_back(Addr, M);
         return FireResult::Fire;
       }
-      hw::ResId R = Lock->reserve(Addr, M);
-      T.Res[Key] = R;
-      T.ResInfo[R] = {L->mem(), Key, MS.Idx, Addr, M, false, 0};
+      ResRec &Rec = T.Res[Key];
+      T.NumRes += Rec.Id == 0;
+      Rec = {Lock->reserve(Addr, M), Addr, 0, false};
       if (Bus.enabled())
         Bus.emit(obs::Event::lock(obs::Event::Kind::LockReserve,
                                   Stats.Cycles,
-                                  static_cast<uint16_t>(P.Index),
-                                  static_cast<uint16_t>(MS.Idx), T.Tid,
-                                  Addr));
+                                  static_cast<uint16_t>(P.Index), Site.Mem,
+                                  T.Tid, Addr));
       return FireResult::Fire;
     }
     case LockOp::Block: {
-      const std::string &Key = ResolveKey(L->mem(), *L->addr(), L->mode());
-      if (!Commit) {
-        hw::LockProbe &Probe = Ctx.Probes[Lock];
-        auto It = T.Res.find(Key);
-        bool Ready;
-        if (It != T.Res.end()) {
-          Ready = Lock->readyP(Probe, It->second);
-        } else {
-          // Reserved earlier in this same stage: probe combinationally.
-          // Its own entry must not count against itself.
-          auto PR = Ctx.ProbeReserved.at(Key);
-          hw::LockProbe Minus = Probe;
-          for (auto RIt = Minus.Reserved.begin();
-               RIt != Minus.Reserved.end(); ++RIt) {
-            if (RIt->first == std::get<1>(PR) &&
-                RIt->second == std::get<2>(PR)) {
-              Minus.Reserved.erase(RIt);
-              break;
-            }
-          }
-          Ready = Lock->readyNowP(Minus, std::get<1>(PR), std::get<2>(PR));
-        }
-        if (!Ready)
-          return Stall(StallCause::Lock, &L->mem());
+      if (Commit)
+        return FireResult::Fire;
+      uint16_t Key = heldKey(T, Site, /*Probe=*/true);
+      assert(Key != bc::NoSlot && "lock operation without a reservation");
+      hw::LockProbe &Probe = lockProbe(Site.Mem);
+      bool Ready;
+      if (hw::ResId R = T.Res[Key].Id) {
+        Ready = Lock->readyP(Probe, R);
+      } else {
+        // Reserved earlier in this same stage: probe combinationally. Its
+        // own entry must not count against itself.
+        uint64_t PAddr = ProbeReserved[probeReserved(Key)].Addr;
+        hw::Access PMode = static_cast<hw::Access>(PP.ResKeys[Key].Mode);
+        ProbeMinus = Probe;
+        auto &Res = ProbeMinus.Reserved;
+        auto It = std::find(Res.begin(), Res.end(), std::make_pair(PAddr, PMode));
+        if (It != Res.end())
+          Res.erase(It);
+        Ready = Lock->readyNowP(ProbeMinus, PAddr, PMode);
       }
+      if (!Ready)
+        return Stall(StallCause::Lock, Site.Mem);
       return FireResult::Fire;
     }
     case LockOp::Release: {
+      uint16_t Key = heldKey(T, Site, /*Probe=*/!Commit);
+      assert(Key != bc::NoSlot && "lock operation without a reservation");
       if (!Commit) {
-        const std::string &Key = ResolveKey(L->mem(), *L->addr(), L->mode());
-        hw::LockProbe &Probe = Ctx.Probes[Lock];
-        auto It = T.Res.find(Key);
-        if (It != T.Res.end()) {
-          Probe.Released.push_back(It->second);
+        hw::LockProbe &Probe = lockProbe(Site.Mem);
+        if (hw::ResId R = T.Res[Key].Id) {
+          Probe.Released.push_back(R);
         } else {
           // Releasing a same-stage probe reservation: cancel it out.
-          auto PR = Ctx.ProbeReserved.at(Key);
-          for (auto RIt = Probe.Reserved.begin();
-               RIt != Probe.Reserved.end(); ++RIt) {
-            if (RIt->first == std::get<1>(PR) &&
-                RIt->second == std::get<2>(PR)) {
-              Probe.Reserved.erase(RIt);
-              break;
-            }
-          }
-          Ctx.ProbeReserved.erase(Key);
+          int PR = probeReserved(Key);
+          auto &Res = Probe.Reserved;
+          auto It = std::find(
+              Res.begin(), Res.end(),
+              std::make_pair(ProbeReserved[PR].Addr,
+                             static_cast<hw::Access>(PP.ResKeys[Key].Mode)));
+          if (It != Res.end())
+            Res.erase(It);
+          ProbeReserved.erase(ProbeReserved.begin() + PR);
         }
         return FireResult::Fire;
       }
-      const std::string &Key = ResolveKey(L->mem(), *L->addr(), L->mode());
-      auto It = T.Res.find(Key);
-      assert(It != T.Res.end() && "release without a live reservation");
-      hw::ResId R = It->second;
-      ResRec Rec = T.ResInfo.at(R);
-      if (consumeFault(hw::FaultKind::DropLockRelease, P, T.Tid, &Rec.Mem)) {
-        // Injected fault: the release reaches the lock (the datapath stays
-        // live, so probe and commit keep agreeing) but the completion is
-        // lost on the way to the trace bus. The lock-discipline monitor
-        // flags the unbalanced reserve when the thread retires.
-        Lock->release(R);
-        if (Rec.Mode != hw::Access::Read && Rec.Written)
-          recordCommit(P, Rec.Mem, Rec.MemI, Rec.Addr, Rec.WrittenVal, T);
-        T.Res.erase(It);
-        T.ResInfo.erase(R);
-        return FireResult::Fire;
-      }
-      Lock->release(R);
-      if (Bus.enabled())
+      ResRec Rec = T.Res[Key];
+      assert(Rec.Id && "release without a live reservation");
+      T.Res[Key] = ResRec();
+      --T.NumRes;
+      hw::Access Mode = static_cast<hw::Access>(PP.ResKeys[Key].Mode);
+      // An injected DropLockRelease fault lets the release reach the lock
+      // (the datapath stays live, so probe and commit keep agreeing) but
+      // loses the completion on the way to the trace bus. The
+      // lock-discipline monitor flags the unbalanced reserve when the
+      // thread retires.
+      bool Dropped =
+          consumeFault(hw::FaultKind::DropLockRelease, P, T.Tid, Site.Mem);
+      Lock->release(Rec.Id);
+      if (!Dropped && Bus.enabled())
         Bus.emit(obs::Event::lock(obs::Event::Kind::LockRelease,
                                   Stats.Cycles,
-                                  static_cast<uint16_t>(P.Index),
-                                  static_cast<uint16_t>(Rec.MemI), T.Tid,
-                                  Rec.Addr));
-      if (Rec.Mode != hw::Access::Read && Rec.Written)
-        recordCommit(P, Rec.Mem, Rec.MemI, Rec.Addr, Rec.WrittenVal, T);
-      T.Res.erase(It);
-      T.ResInfo.erase(R);
+                                  static_cast<uint16_t>(P.Index), Site.Mem,
+                                  T.Tid, Rec.Addr));
+      if (Mode != hw::Access::Read && Rec.Written)
+        recordCommit(P, Site.Mem, Rec.Addr, Rec.WrittenVal, T);
       return FireResult::Fire;
     }
     }
@@ -983,9 +946,9 @@ System::FireResult System::walkOp(PipeInstance &P, const Stmt &S,
 
   case Stmt::Kind::MemWrite: {
     const auto *W = cast<MemWriteStmt>(&S);
-    MemSite &MS = memSite(P, W->mem());
-    unsigned MemI = MS.Idx;
-    mem::MemModel *Model = MS.Model;
+    const bc::AccessSite &Site = PP.Access[OP.Site];
+    uint16_t MemI = Site.Mem;
+    mem::MemModel *Model = P.ModelByIdx[MemI];
     if (!Commit) {
       uint64_t Addr = Eval(OP.E0, *W->addr()).zext();
       Eval(OP.E1, *W->value()); // hook-sequence consistency only
@@ -993,9 +956,8 @@ System::FireResult System::walkOp(PipeInstance &P, const Stmt &S,
         if (Bus.enabled())
           Bus.emit(obs::Event::memAccess(
               obs::Event::Kind::MemBackpressure, Stats.Cycles,
-              static_cast<uint16_t>(P.Index), static_cast<uint16_t>(MemI),
-              T.Tid, Addr));
-        return Stall(StallCause::Backpressure, &W->mem());
+              static_cast<uint16_t>(P.Index), MemI, T.Tid, Addr));
+        return Stall(StallCause::Backpressure, MemI);
       }
       return FireResult::Fire;
     }
@@ -1010,28 +972,20 @@ System::FireResult System::walkOp(PipeInstance &P, const Stmt &S,
                                            ? obs::Event::Kind::MemHit
                                            : obs::Event::Kind::MemMiss,
                                        Stats.Cycles,
-                                       static_cast<uint16_t>(P.Index),
-                                       static_cast<uint16_t>(MemI), T.Tid,
-                                       Addr));
+                                       static_cast<uint16_t>(P.Index), MemI,
+                                       T.Tid, Addr));
     }
-    hw::HazardLock *Lock = MS.L;
+    hw::HazardLock *Lock = P.LockByIdx[MemI];
     if (!Lock) {
-      MS.M->write(Addr, V);
-      recordCommit(P, W->mem(), MemI, Addr, V.zext(), T);
+      P.MemByIdx[MemI]->write(Addr, V);
+      recordCommit(P, MemI, Addr, V.zext(), T);
       return FireResult::Fire;
     }
-    const std::string *Key = nullptr;
-    for (hw::Access M : {hw::Access::Write, hw::Access::ReadWrite}) {
-      const std::string &K = siteResKey(W->mem(), *W->addr(), M);
-      if (T.Res.count(K)) {
-        Key = &K;
-        break;
-      }
-    }
-    assert(Key && "write to a locked memory without a write lock");
-    hw::ResId R = T.Res.at(*Key);
-    Lock->write(R, V);
-    ResRec &Rec = T.ResInfo.at(R);
+    uint16_t Key = heldKey(T, Site, /*Probe=*/false);
+    assert(Key != bc::NoSlot &&
+           "write to a locked memory without a write lock");
+    ResRec &Rec = T.Res[Key];
+    Lock->write(Rec.Id, V);
     Rec.Written = true;
     Rec.WrittenVal = V.zext();
     Rec.Addr = Addr;
@@ -1041,9 +995,9 @@ System::FireResult System::walkOp(PipeInstance &P, const Stmt &S,
   case Stmt::Kind::SyncRead: {
     const auto *Rd = cast<SyncReadStmt>(&S);
     uint64_t Addr = Eval(OP.E0, *Rd->addr()).zext();
-    MemSite &MS = memSite(P, Rd->mem());
-    unsigned MemI = MS.Idx;
-    mem::MemModel *Model = MS.Model;
+    const bc::AccessSite &Site = PP.Access[OP.Site];
+    uint16_t MemI = Site.Mem;
+    mem::MemModel *Model = P.ModelByIdx[MemI];
     if (!Commit) {
       // The hierarchy may refuse the request (miss queue full): the stage
       // stalls on backpressure and the memory is named in a dedicated event
@@ -1052,27 +1006,19 @@ System::FireResult System::walkOp(PipeInstance &P, const Stmt &S,
         if (Bus.enabled())
           Bus.emit(obs::Event::memAccess(
               obs::Event::Kind::MemBackpressure, Stats.Cycles,
-              static_cast<uint16_t>(P.Index), static_cast<uint16_t>(MemI),
-              T.Tid, Addr));
-        return Stall(StallCause::Backpressure, &Rd->mem());
+              static_cast<uint16_t>(P.Index), MemI, T.Tid, Addr));
+        return Stall(StallCause::Backpressure, MemI);
       }
       return FireResult::Fire;
     }
-    hw::HazardLock *Lock = MS.L;
+    hw::HazardLock *Lock = P.LockByIdx[MemI];
     Bits V;
     if (Lock) {
-      const std::string *Key = nullptr;
-      for (hw::Access M : {hw::Access::Read, hw::Access::ReadWrite}) {
-        const std::string &K = siteResKey(Rd->mem(), *Rd->addr(), M);
-        if (T.Res.count(K)) {
-          Key = &K;
-          break;
-        }
-      }
-      assert(Key && "sync read of locked memory without a lock");
-      V = Lock->read(T.Res.at(*Key));
+      uint16_t Key = heldKey(T, Site, /*Probe=*/false);
+      assert(Key != bc::NoSlot && "sync read of locked memory without a lock");
+      V = Lock->read(T.Res[Key].Id);
     } else {
-      V = MS.M->read(Addr);
+      V = P.MemByIdx[MemI]->read(Addr);
     }
     unsigned Latency = 1;
     if (Model) {
@@ -1083,9 +1029,8 @@ System::FireResult System::walkOp(PipeInstance &P, const Stmt &S,
                                            ? obs::Event::Kind::MemHit
                                            : obs::Event::Kind::MemMiss,
                                        Stats.Cycles,
-                                       static_cast<uint16_t>(P.Index),
-                                       static_cast<uint16_t>(MemI), T.Tid,
-                                       Addr));
+                                       static_cast<uint16_t>(P.Index), MemI,
+                                       T.Tid, Addr));
     }
     Deliveries.push_back(
         {Stats.Cycles + (Latency - 1), &P, T.Tid, OP.Dest, V});
@@ -1095,8 +1040,8 @@ System::FireResult System::walkOp(PipeInstance &P, const Stmt &S,
 
   case Stmt::Kind::PipeCall: {
     const auto *C = cast<PipeCallStmt>(&S);
-    bool Recursive = C->pipe() == P.CP->Decl->Name;
-    PipeInstance &Callee = pipe(C->pipe());
+    PipeInstance &Callee = *P.Callees[OP.Callee];
+    bool Recursive = &Callee == &P;
 
     if (!Commit) {
       if (C->isSpec() && !P.Spec.canAlloc())
@@ -1109,20 +1054,17 @@ System::FireResult System::walkOp(PipeInstance &P, const Stmt &S,
       return FireResult::Fire;
     }
 
-    Thread Child;
-    Child.Tid = NextTid++;
-    Child.Frame = Callee.Prog->InitFrame;
-    std::vector<Bits> ArgV;
+    Thread Child = newThread(Callee);
+    std::vector<Bits> &ArgV = Child.Trace.Args;
+    ArgV.reserve(C->args().size());
     for (unsigned I = 0, N = C->args().size(); I != N; ++I) {
-      Bits V = Eval(OP.Args[I], *C->args()[I]);
-      Child.Frame[Callee.Prog->ParamSlots[I]] = V;
-      ArgV.push_back(V);
+      ArgV.push_back(Eval(OP.Args[I], *C->args()[I]));
+      Child.Frame[Callee.Prog->ParamSlots[I]] = ArgV.back();
     }
-    Child.Trace.Args = ArgV;
     if (C->isSpec()) {
       hw::SpecId Sid = P.Spec.alloc(ArgV[0]);
       Child.MySpec = Sid;
-      T.Handles[C->resultName()] = Sid;
+      T.Handles[OP.Handle] = Sid;
       ++T.UnresolvedSpec;
       if (Bus.enabled())
         Bus.emit(obs::Event::specAlloc(Stats.Cycles,
@@ -1191,9 +1133,17 @@ System::FireResult System::walkOp(PipeInstance &P, const Stmt &S,
       return FireResult::Fire;
     }
     Bits Actual = Eval(OP.E0, *V->actual());
-    auto HIt = T.Handles.find(V->handle());
-    assert(HIt != T.Handles.end() && "verify of an unspawned speculation");
-    hw::SpecId Sid = HIt->second;
+    hw::SpecId Sid = T.Handles[OP.Handle];
+    assert(Sid && "verify of an unspawned speculation");
+    T.Handles[OP.Handle] = 0;
+    assert(T.UnresolvedSpec > 0);
+    --T.UnresolvedSpec;
+    // Checkpoints in interned (memory name) order.
+    auto ForEachCkpt = [&](auto Fn) {
+      for (size_t I = 0, N = PP.Ckpts.size(); I != N; ++I)
+        if (T.Ckpts[I])
+          Fn(PP.Ckpts[I].Mem, T.Ckpts[I]);
+    };
     if (!P.Spec.knows(Sid)) {
       // The child's entry is already gone: only a wrong-path thread kept
       // alive by an injected SkipSquash can get here, after its (squashed)
@@ -1203,50 +1153,41 @@ System::FireResult System::walkOp(PipeInstance &P, const Stmt &S,
       bool Rescued = rescueSquash(P, T.Tid);
       (void)Rescued;
       assert(Rescued && "verify of an unknown speculation");
-      T.Handles.erase(HIt);
-      assert(T.UnresolvedSpec > 0);
-      --T.UnresolvedSpec;
-      for (auto &[Mem, Ck] : T.Ckpts)
-        lockFor(P, Mem)->commitCheckpoint(Ck);
-      T.Ckpts.clear();
+      ForEachCkpt([&](uint16_t Mem, hw::CkptId Ck) {
+        P.LockByIdx[Mem]->commitCheckpoint(Ck);
+      });
+      T.Ckpts = {};
       return FireResult::Fire;
     }
     bool Correct = P.Spec.verify(Sid, Actual);
-    T.Handles.erase(HIt);
-    assert(T.UnresolvedSpec > 0);
-    --T.UnresolvedSpec;
     if (Correct) {
-      for (auto &[Mem, Ck] : T.Ckpts)
-        lockFor(P, Mem)->commitCheckpoint(Ck);
-      T.Ckpts.clear();
+      ForEachCkpt([&](uint16_t Mem, hw::CkptId Ck) {
+        P.LockByIdx[Mem]->commitCheckpoint(Ck);
+      });
+      T.Ckpts = {};
     } else {
-      for (auto &[Mem, Ck] : T.Ckpts) {
-        lockFor(P, Mem)->rollback(Ck);
-        lockFor(P, Mem)->commitCheckpoint(Ck);
+      ForEachCkpt([&](uint16_t Mem, hw::CkptId Ck) {
+        P.LockByIdx[Mem]->rollback(Ck);
+        P.LockByIdx[Mem]->commitCheckpoint(Ck);
         if (Bus.enabled())
-          Bus.emit(obs::Event::specRollback(
-              Stats.Cycles, static_cast<uint16_t>(P.Index),
-              static_cast<uint16_t>(P.MemIdx.at(Mem)), T.Tid,
-              /*Final=*/true));
-      }
-      if (!T.Ckpts.empty() &&
-          consumeFault(hw::FaultKind::DoubleRollback, P, T.Tid)) {
+          Bus.emit(obs::Event::specRollback(Stats.Cycles,
+                                            static_cast<uint16_t>(P.Index),
+                                            Mem, T.Tid, /*Final=*/true));
+      });
+      bool AnyCkpt = T.Ckpts != decltype(T.Ckpts){};
+      if (AnyCkpt && consumeFault(hw::FaultKind::DoubleRollback, P, T.Tid)) {
         // Injected fault: report each checkpoint rolled back a second time.
         // The ckpt-once monitor must flag the repeated final rollback.
-        for (auto &[Mem, Ck] : T.Ckpts) {
-          (void)Ck;
+        ForEachCkpt([&](uint16_t Mem, hw::CkptId) {
           if (Bus.enabled())
-            Bus.emit(obs::Event::specRollback(
-                Stats.Cycles, static_cast<uint16_t>(P.Index),
-                static_cast<uint16_t>(P.MemIdx.at(Mem)), T.Tid,
-                /*Final=*/true));
-        }
+            Bus.emit(obs::Event::specRollback(Stats.Cycles,
+                                              static_cast<uint16_t>(P.Index),
+                                              Mem, T.Tid, /*Final=*/true));
+        });
       }
-      T.Ckpts.clear();
+      T.Ckpts = {};
       // Respawn the corrected, non-speculative thread.
-      Thread Child;
-      Child.Tid = NextTid++;
-      Child.Frame = P.Prog->InitFrame;
+      Thread Child = newThread(P);
       Child.Frame[P.Prog->ParamSlots[0]] = Actual;
       Child.Trace.Args = {Actual};
       emitThreadEvent(obs::Event::Kind::ThreadSpawn, P, Child.Tid);
@@ -1256,12 +1197,12 @@ System::FireResult System::walkOp(PipeInstance &P, const Stmt &S,
       // The update method is void, so it cannot flow through the hook used
       // for value-producing extern calls: evaluate the compiled argument
       // programs and invoke the module directly.
-      std::vector<Bits> Args;
+      UpdateArgs.clear();
       for (unsigned I = 0, N = U->args().size(); I != N; ++I)
-        Args.push_back(Eval(OP.Args[I], *U->args()[I]));
-      auto It = Externs.find(U->module());
-      assert(It != Externs.end() && "unbound extern module");
-      It->second->invoke(U->method(), Args);
+        UpdateArgs.push_back(Eval(OP.Args[I], *U->args()[I]));
+      hw::ExternModule *M = P.ExternByIdx[OP.Extern];
+      assert(M && "unbound extern module");
+      M->invoke(U->method(), UpdateArgs);
     }
     return FireResult::Fire;
   }
@@ -1278,26 +1219,26 @@ System::FireResult System::walkOp(PipeInstance &P, const Stmt &S,
       return FireResult::Fire;
     }
     Bits NewPred = Eval(OP.E0, *U->newPred());
-    auto HIt = T.Handles.find(U->handle());
-    assert(HIt != T.Handles.end() && "update of an unspawned speculation");
-    auto NewSid = P.Spec.update(HIt->second, NewPred);
+    hw::SpecId &Handle = T.Handles[OP.Handle];
+    assert(Handle && "update of an unspawned speculation");
+    auto NewSid = P.Spec.update(Handle, NewPred);
     if (!NewSid)
       return FireResult::Fire; // prediction unchanged
-    HIt->second = *NewSid;
+    Handle = *NewSid;
     // Undo the old child's speculative lock state but keep the
     // checkpoints alive for the re-steered child.
-    for (auto &[Mem, Ck] : T.Ckpts) {
-      lockFor(P, Mem)->rollback(Ck);
+    for (size_t I = 0, N = PP.Ckpts.size(); I != N; ++I) {
+      if (!T.Ckpts[I])
+        continue;
+      uint16_t Mem = PP.Ckpts[I].Mem;
+      P.LockByIdx[Mem]->rollback(T.Ckpts[I]);
       if (Bus.enabled())
-        Bus.emit(obs::Event::specRollback(
-            Stats.Cycles, static_cast<uint16_t>(P.Index),
-            static_cast<uint16_t>(P.MemIdx.at(Mem)), T.Tid,
-            /*Final=*/false));
+        Bus.emit(obs::Event::specRollback(Stats.Cycles,
+                                          static_cast<uint16_t>(P.Index), Mem,
+                                          T.Tid, /*Final=*/false));
     }
-    Thread Child;
-    Child.Tid = NextTid++;
+    Thread Child = newThread(P);
     Child.MySpec = *NewSid;
-    Child.Frame = P.Prog->InitFrame;
     Child.Frame[P.Prog->ParamSlots[0]] = NewPred;
     Child.Trace.Args = {NewPred};
     if (Bus.enabled())
@@ -1339,10 +1280,9 @@ System::FireResult System::walkStage(PipeInstance &P, const Stage &S,
   return FireResult::Fire;
 }
 
-void System::recordCommit(PipeInstance &P, const std::string &Mem,
-                          unsigned MemI, uint64_t Addr, uint64_t Val,
-                          Thread &T) {
-  T.Trace.Writes.emplace_back(Mem, Addr, Val);
+void System::recordCommit(PipeInstance &P, unsigned MemI, uint64_t Addr,
+                          uint64_t Val, Thread &T) {
+  T.Trace.Writes.emplace_back(P.MemNames[MemI], Addr, Val);
   if (HaltWatch && std::get<0>(*HaltWatch) == P.Index &&
       std::get<1>(*HaltWatch) == MemI && std::get<2>(*HaltWatch) == Addr) {
     if (!DrainOnHalt) {
@@ -1368,18 +1308,15 @@ void System::killThread(PipeInstance &P, Thread &&T) {
   for (auto It = PendingTags.begin(); It != PendingTags.end();)
     It = (It->P == &P && It->Tid == T.Tid) ? PendingTags.erase(It)
                                            : std::next(It);
-  for (std::deque<TagTok> &Tags : P.TagQueues)
-    Tags.erase(std::remove_if(Tags.begin(), Tags.end(),
-                              [&](const TagTok &Tok) {
-                                return Tok.Tid == T.Tid;
-                              }),
-               Tags.end());
+  for (hw::Fifo<TagTok> &Tags : P.TagQueues)
+    Tags.removeIf([&](const TagTok &Tok) { return Tok.Tid == T.Tid; });
 }
 
 void System::retireThread(PipeInstance &P, Thread &&T) {
-  assert(T.Res.empty() && "thread retired holding lock reservations");
+  assert(T.NumRes == 0 && "thread retired holding lock reservations");
   assert(T.PendingResp == 0 && "thread retired with outstanding responses");
-  assert(T.Handles.empty() && "thread retired with unresolved speculation");
+  assert(T.Handles == decltype(T.Handles){} &&
+         "thread retired with unresolved speculation");
   emitThreadEvent(obs::Event::Kind::ThreadRetire, P, T.Tid);
   // Threads younger than a pending halt store are past the architectural
   // end of the program: they drain, but neither count nor leave a trace.
@@ -1396,7 +1333,7 @@ System::Thread System::dequeueInput(PipeInstance &P, const Stage &S,
   if (S.Id == P.CP->Graph.Entry)
     return P.Entry.deq();
   if (S.isJoin()) {
-    P.TagQueues[S.Id].pop_front();
+    P.TagQueues[S.Id].deq();
     return P.PredFifos[S.Id][PredIdx]->deq();
   }
   return P.PredFifos[S.Id][0]->deq();
@@ -1406,12 +1343,12 @@ void System::tryFireStage(PipeInstance &P, const Stage &S) {
   unsigned PredIdx = 0;
   Thread *T = stageInput(P, S, PredIdx);
   if (!T) {
-    noteOutcome(P, S, StallCause::Idle, 0, nullptr);
+    noteOutcome(P, S, StallCause::Idle, 0);
     return;
   }
 
   if (T->PendingResp > 0) {
-    noteOutcome(P, S, StallCause::Response, T->Tid, nullptr);
+    noteOutcome(P, S, StallCause::Response, T->Tid);
     return;
   }
 
@@ -1419,7 +1356,7 @@ void System::tryFireStage(PipeInstance &P, const Stage &S) {
   // reservation region while another thread occupies it.
   for (const LockRegion &Reg : P.Regions) {
     if (S.Id == Reg.First && Reg.OccupantTid && *Reg.OccupantTid != T->Tid) {
-      noteOutcome(P, S, StallCause::Lock, T->Tid, &Reg.Mem);
+      noteOutcome(P, S, StallCause::Lock, T->Tid, Reg.Mem);
       return;
     }
   }
@@ -1437,7 +1374,7 @@ void System::tryFireStage(PipeInstance &P, const Stage &S) {
   }
 
   if (R == FireResult::Kill) {
-    noteOutcome(P, S, StallCause::Kill, T->Tid, nullptr);
+    noteOutcome(P, S, StallCause::Kill, T->Tid);
     Thread Dead = dequeueInput(P, S, PredIdx);
     killThread(P, std::move(Dead));
     return;
@@ -1449,7 +1386,7 @@ void System::tryFireStage(PipeInstance &P, const Stage &S) {
   if (Succ) {
     SuccF = P.SuccFifos[S.Id][Succ - S.Succs.data()];
     if (SuccF->size() + pendingEnqCount(SuccF) >= SuccF->capacity()) {
-      noteOutcome(P, S, StallCause::Backpressure, T->Tid, nullptr);
+      noteOutcome(P, S, StallCause::Backpressure, T->Tid);
       return;
     }
   }
@@ -1460,7 +1397,7 @@ void System::tryFireStage(PipeInstance &P, const Stage &S) {
       if (PT.P == &P && PT.Join == J->Id)
         ++Pending;
     if (Q.size() + Pending >= Cfg.TagDepth) {
-      noteOutcome(P, S, StallCause::Backpressure, T->Tid, nullptr);
+      noteOutcome(P, S, StallCause::Backpressure, T->Tid);
       return;
     }
   }
@@ -1476,12 +1413,10 @@ void System::tryFireStage(PipeInstance &P, const Stage &S) {
   syncWalkFrame(P, Live, Commit);
 
   // Compiler-inserted checkpoints after the thread's final reservations.
-  for (const auto &[Mem, CkStage] : P.CP->Spec.CheckpointStage) {
-    if (CkStage != S.Id || Live.UnresolvedSpec == 0 || Live.Ckpts.count(Mem))
-      continue;
-    if (hw::HazardLock *L = lockFor(P, Mem))
-      Live.Ckpts[Mem] = L->checkpoint();
-  }
+  if (Live.UnresolvedSpec != 0)
+    for (uint16_t I : P.CkptsAt[S.Id])
+      if (!Live.Ckpts[I])
+        Live.Ckpts[I] = P.LockByIdx[P.Prog->Ckpts[I].Mem]->checkpoint();
 
   // Coordination tags for joins forked here (the hook dispatch is still
   // bound to the commit walk: same pipe, thread, and context).
@@ -1507,11 +1442,11 @@ void System::tryFireStage(PipeInstance &P, const Stage &S) {
       Reg.OccupantTid.reset();
   }
 
-  noteOutcome(P, S, StallCause::None, Live.Tid, nullptr);
+  noteOutcome(P, S, StallCause::None, Live.Tid);
   FiredThisCycle = true;
 
   if (Succ) {
-    PendingEnqs.push_back({&P, SuccF, std::move(Live)});
+    PendingEnqs.emplace_back(&P, SuccF, std::move(Live));
   } else {
     retireThread(P, std::move(Live));
   }
@@ -1540,31 +1475,32 @@ void System::applyEndOfCycle() {
     E.F->enq(std::move(E.T));
   PendingEnqs.clear();
   for (PendingTag &T : PendingTags)
-    T.P->TagQueues[T.Join].push_back({T.Tag, T.Tid});
+    T.P->TagQueues[T.Join].enq({T.Tag, T.Tid});
   PendingTags.clear();
 
-  for (auto It = Deliveries.begin(); It != Deliveries.end();) {
-    if (It->DueCycle > Stats.Cycles) {
-      ++It;
+  // Due responses land in request order; the rest keep theirs.
+  size_t Kept = 0;
+  for (Delivery &D : Deliveries) {
+    if (D.DueCycle > Stats.Cycles) {
+      Deliveries[Kept++] = D;
       continue;
     }
-    PipeInstance &P = *It->P;
-    if (consumeFault(hw::FaultKind::DropMemResponse, P, It->Tid)) {
+    PipeInstance &P = *D.P;
+    if (consumeFault(hw::FaultKind::DropMemResponse, P, D.Tid)) {
       // Injected fault: the response vanishes. PendingResp stays high, so
       // the requester stalls on Response forever — an honest deadlock the
       // wait-for diagnosis attributes to the memory response.
-      It = Deliveries.erase(It);
       continue;
     }
-    if (Thread *T = findThread(P, It->Tid)) {
-      T->Frame[It->Slot] = It->Value;
+    if (Thread *T = findThread(P, D.Tid)) {
+      T->Frame[D.Slot] = D.Value;
       assert(T->PendingResp > 0);
       --T->PendingResp;
     }
     // else: the requester was squashed; drop the orphan response.
-    It = Deliveries.erase(It);
     FiredThisCycle = true;
   }
+  Deliveries.erase(Deliveries.begin() + Kept, Deliveries.end());
 
   // Attribution exactness: every probe attempt (a stage with an input
   // thread) resolved to exactly one of fire / kill / a typed stall cause.
@@ -1732,7 +1668,7 @@ DeadlockDiagnosis System::diagnoseDeadlock() {
         if (S.Id == Reg.First && Reg.OccupantTid &&
             *Reg.OccupantTid != T->Tid) {
           E.Cause = StallCause::Lock;
-          E.Resource = Reg.Mem;
+          E.Resource = PI->MemNames[Reg.Mem];
           E.HolderTid = *Reg.OccupantTid;
           E.HolderStage = stageOfThread(E.HolderTid);
           D.Edges.push_back(E);
@@ -1768,15 +1704,18 @@ DeadlockDiagnosis System::diagnoseDeadlock() {
       E.Cause = Probe.Cause;
       switch (Probe.Cause) {
       case StallCause::Lock: {
-        E.Resource = Probe.CauseMem ? *Probe.CauseMem : "lock";
+        if (Probe.CauseMem == obs::NoMem) {
+          E.Resource = "lock";
+          break;
+        }
+        E.Resource = PI->MemNames[Probe.CauseMem];
         // The holder: another thread of the pipe with a live reservation
         // on the same memory (the queue head blocking ours).
         ForEachThread(*PI, [&](Thread &O) {
           if (E.HolderTid || O.Tid == T->Tid)
             return;
-          for (const auto &[R2, Rec] : O.ResInfo) {
-            (void)R2;
-            if (Rec.Mem == E.Resource) {
+          for (size_t K = 0, N = PI->Prog->ResKeys.size(); K != N; ++K) {
+            if (O.Res[K].Id && PI->Prog->ResKeys[K].Mem == Probe.CauseMem) {
               E.HolderTid = O.Tid;
               E.HolderStage = stageOfThread(O.Tid);
               return;
@@ -1793,8 +1732,7 @@ DeadlockDiagnosis System::diagnoseDeadlock() {
           ForEachThread(*PI, [&](Thread &O) {
             if (E.HolderTid)
               return;
-            for (const auto &[H, Sid] : O.Handles) {
-              (void)H;
+            for (hw::SpecId Sid : O.Handles) {
               if (Sid == T->MySpec) {
                 E.HolderTid = O.Tid;
                 E.HolderStage = stageOfThread(O.Tid);
@@ -1805,7 +1743,9 @@ DeadlockDiagnosis System::diagnoseDeadlock() {
         break;
       }
       case StallCause::Backpressure:
-        E.Resource = Probe.CauseMem ? *Probe.CauseMem : "downstream";
+        E.Resource = Probe.CauseMem != obs::NoMem
+                         ? PI->MemNames[Probe.CauseMem]
+                         : "downstream";
         break;
       case StallCause::Response:
         E.Resource = "memory-response";

@@ -35,6 +35,11 @@
 /// PipeHandle/MemHandle resolved once at elaboration; the string-keyed
 /// accessors are retained as thin shims.
 ///
+/// Inside the clock loop nothing is looked up by name: reservation keys,
+/// access sites, spec handles and checkpointed memories are interned to
+/// dense indices by bc::compileModule, and a thread's lock, speculation and
+/// checkpoint state are arrays addressed by those indices.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PDL_BACKEND_SYSTEM_H
@@ -55,12 +60,10 @@
 #include "support/BinIO.h"
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace pdl {
@@ -377,15 +380,20 @@ public:
 private:
   struct PipeInstance;
 
+  /// A thread's live reservation under one reservation key.
   struct ResRec {
-    std::string Mem;
-    std::string Key; // full reservation key (mem#addrtext#mode)
-    unsigned MemI = 0; // interned memory index of Mem
+    hw::ResId Id = 0; // 0 = the key is not held
     uint64_t Addr = 0;
-    hw::Access Mode = hw::Access::Read;
-    bool Written = false;
     uint64_t WrittenVal = 0;
+    bool Written = false;
   };
+
+  /// Capacities of a thread's reservation, spec-handle and checkpoint
+  /// arrays; a pipe declaring more keys, handles or checkpointed memories
+  /// is refused at elaboration.
+  static constexpr unsigned MaxResKeys = 8;
+  static constexpr unsigned MaxHandles = 4;
+  static constexpr unsigned MaxCkpts = 4;
 
   struct Thread {
     uint64_t Tid = 0;
@@ -393,10 +401,15 @@ private:
     /// [0, NumVars) are the named variables, the rest per-walk scratch.
     std::vector<Bits> Frame;
     hw::SpecId MySpec = 0; // 0 = spawned non-speculatively
-    std::map<std::string, hw::ResId> Res; // reservation key -> id
-    std::map<hw::ResId, ResRec> ResInfo;
-    std::map<std::string, hw::SpecId> Handles; // spec handle name -> entry
-    std::map<std::string, hw::CkptId> Ckpts;   // memory -> checkpoint
+    /// Reservations by interned key (bc::PipeProgram::ResKeys), NumRes of
+    /// them held; spec entries by interned handle (PipeProgram::Handles);
+    /// lock checkpoints by interned checkpoint (PipeProgram::Ckpts); id 0
+    /// = none. Fixed arrays: spawning, reserving and releasing allocate
+    /// nothing beyond the frame.
+    std::array<ResRec, MaxResKeys> Res{};
+    unsigned NumRes = 0;
+    std::array<hw::SpecId, MaxHandles> Handles{};
+    std::array<hw::CkptId, MaxCkpts> Ckpts{};
     unsigned UnresolvedSpec = 0;
     unsigned PendingResp = 0;
     ThreadTrace Trace;
@@ -417,7 +430,7 @@ private:
   /// spanning stages [First, Last] must be made atomically per thread, so
   /// only one thread may occupy those stages at a time.
   struct LockRegion {
-    std::string Mem;
+    uint16_t Mem = 0; // interned memory index
     unsigned First = 0;
     unsigned Last = 0;
     std::optional<uint64_t> OccupantTid;
@@ -431,7 +444,7 @@ private:
     std::vector<LockRegion> Regions;
     hw::Fifo<Thread> Entry;
     std::map<std::pair<unsigned, unsigned>, hw::Fifo<Thread>> EdgeFifos;
-    std::vector<std::deque<TagTok>> TagQueues; // by join stage id
+    std::vector<hw::Fifo<TagTok>> TagQueues; // by join stage id
     /// Dense per-stage views into EdgeFifos (which stays the owner),
     /// resolved once at elaboration so the per-cycle path never touches
     /// the pair-keyed map: input FIFO per predecessor index and output
@@ -441,6 +454,12 @@ private:
     /// Join stages forked from each stage (J.ForkStage == stage id), in
     /// stage-graph order — replaces the per-firing scan over all stages.
     std::vector<std::vector<const Stage *>> ForkJoins;
+    /// Prog->Ckpts indices whose checkpoint is taken at each stage (only
+    /// memories with a lock), by stage id.
+    std::vector<std::vector<uint16_t>> CkptsAt;
+    /// Prog->Callees / Prog->Externs resolved to their instances.
+    std::vector<PipeInstance *> Callees;
+    std::vector<hw::ExternModule *> ExternByIdx;
     /// Lazily bound Stats.Retired / Stats.Killed entries for this pipe
     /// (node addresses are stable), so retire/kill skip the string map.
     uint64_t *RetiredCtr = nullptr;
@@ -484,15 +503,17 @@ private:
     /// frame for the legacy evaluator; synced back by slot after commit.
     Env TreeVars;
     /// Probe pass only: why the stage stalled (set exactly when an op
-    /// returns Stall) and, for lock stalls, the memory responsible.
+    /// returns Stall) and, for lock and memory stalls, the memory index
+    /// responsible. The probe's lock state lives in System (ProbeReserved,
+    /// LockProbes), reset per probe walk.
     obs::StallCause Cause = obs::StallCause::None;
-    const std::string *CauseMem = nullptr;
-    /// Probe pass only: reservation keys created earlier in this stage,
-    /// with their lock/address/mode, and per-lock probe state (same-stage
-    /// releases and reserves) for stall computation.
-    std::map<std::string, std::tuple<hw::HazardLock *, uint64_t, hw::Access>>
-        ProbeReserved;
-    std::map<hw::HazardLock *, hw::LockProbe> Probes;
+    uint16_t CauseMem = obs::NoMem;
+  };
+
+  /// A reservation made earlier in the stage being probed.
+  struct ProbeRes {
+    uint16_t Key;
+    uint64_t Addr;
   };
 
   PipeInstance &pipe(const std::string &Name);
@@ -534,14 +555,16 @@ private:
 
   /// Books the single per-stage per-cycle outcome: updates the legacy
   /// counters and, when tracing, emits the StageOutcome event. \p CauseMem
-  /// names the memory responsible for a Lock stall (may be null).
+  /// is the memory index responsible for a Lock stall (or obs::NoMem).
   void noteOutcome(PipeInstance &P, const Stage &S, obs::StallCause C,
-                   uint64_t Tid, const std::string *CauseMem);
+                   uint64_t Tid, uint16_t CauseMem = obs::NoMem);
 
+  /// A fresh thread of \p P: next tid, initial frame, empty lock state.
+  Thread newThread(PipeInstance &P);
   void killThread(PipeInstance &P, Thread &&T);
   void retireThread(PipeInstance &P, Thread &&T);
-  void recordCommit(PipeInstance &P, const std::string &Mem, unsigned MemI,
-                    uint64_t Addr, uint64_t Val, Thread &T);
+  void recordCommit(PipeInstance &P, unsigned MemI, uint64_t Addr,
+                    uint64_t Val, Thread &T);
 
   void emitThreadEvent(obs::Event::Kind K, PipeInstance &P, uint64_t Tid);
   void installTaps();
@@ -552,22 +575,15 @@ private:
   /// std::function heap allocations per stage walk.
   const EvalHooks &hooksFor(PipeInstance &P, Thread &T, WalkCtx &Ctx);
 
-  /// Per-site memory resolution (interned index, storage, lock, timing
-  /// model), cached against the AST's memory-name string whose address is
-  /// stable and unique per site. Valid only after lock elaboration.
-  struct MemSite {
-    unsigned Idx = 0;
-    hw::Memory *M = nullptr;
-    hw::HazardLock *L = nullptr; // null when the memory is unlocked
-    mem::MemModel *Model = nullptr;
-  };
-  MemSite &memSite(PipeInstance &P, const std::string &Mem);
-
-  /// Reservation key for (mem, addr-expr, mode), built once per site and
-  /// access mode: the same site always yields the same key, so the per-op
-  /// string concatenations collapse into one cached lookup.
-  const std::string &siteResKey(const std::string &Mem, const ast::Expr &Addr,
-                                hw::Access M);
+  /// The probe walk's lock state for memory \p MemI of the pipe being
+  /// probed (same-stage releases and reserves), reset on first use in each
+  /// probe walk.
+  hw::LockProbe &lockProbe(unsigned MemI);
+  /// The first of \p A's keys \p T holds — or, in the probe pass, reserved
+  /// earlier in the stage — in lookup order; NoSlot when none.
+  uint16_t heldKey(const Thread &T, const bc::AccessSite &A, bool Probe) const;
+  /// Index into ProbeReserved of key \p K, or -1.
+  int probeReserved(uint16_t K) const;
 
   // Deferred activity applied at end of cycle.
   struct PendingEnq {
@@ -606,9 +622,10 @@ private:
   void noteFault(PipeInstance &P, hw::FaultKind K, uint64_t Tid);
   ArmedFault *armedFault(hw::FaultKind K, const PipeInstance &P);
   /// Consumes one occurrence of \p K in \p P (commit-pass sites only, so
-  /// probe and commit never disagree). Optional \p Mem filters lock faults.
+  /// probe and commit never disagree). A memory index \p MemI filters lock
+  /// faults by the plan's memory name.
   bool consumeFault(hw::FaultKind K, PipeInstance &P, uint64_t Tid,
-                    const std::string *Mem = nullptr);
+                    unsigned MemI = ~0u);
   /// SkipSquash: true when the squash of \p Tid should be suppressed.
   /// Sticky per thread so every squash point sees the same answer.
   bool rescueSquash(PipeInstance &P, uint64_t Tid);
@@ -633,11 +650,15 @@ private:
   /// The firing order, precomputed at elaboration: pipes in PipeSeq order,
   /// stages deepest-first within each pipe (the §5.1 scheduling directive).
   std::vector<std::pair<PipeInstance *, const Stage *>> FireOrder;
-  /// Memoized reservation-key text per address-expression site; see
-  /// siteResKey(). Indexed by hw::Access; empty string = not yet built.
-  std::unordered_map<const ast::Expr *, std::array<std::string, 3>>
-      ResKeyCache;
-  std::unordered_map<const std::string *, MemSite> MemSiteCache;
+  /// Probe-walk lock state (see lockProbe/heldKey): reservations made
+  /// earlier in the stage, and one LockProbe per memory index, valid while
+  /// its stamp equals ProbeStamp. Reused across walks: no allocation in
+  /// steady state.
+  std::vector<ProbeRes> ProbeReserved;
+  std::vector<hw::LockProbe> LockProbes;
+  std::vector<uint64_t> LockProbeStamp;
+  uint64_t ProbeStamp = 0;
+  hw::LockProbe ProbeMinus; // scratch for a block on a same-stage reserve
   /// See hooksFor(): the lazily built hook pair and the walk they are
   /// currently bound to.
   EvalHooks HotHooks;
@@ -646,21 +667,25 @@ private:
   WalkCtx *CurCtx = nullptr;
 
   /// Shared hook bodies behind both dispatch mechanisms (the bytecode
-  /// interpreter's virtual Hooks and tree mode's std::function EvalHooks).
-  Bits hookReadMem(const ast::MemReadExpr &Site, uint64_t Addr);
-  Bits hookCallExtern(const ast::ExternCallExpr &Site, const Bits *Args,
-                      unsigned NumArgs);
+  /// interpreter's virtual Hooks and tree mode's std::function EvalHooks):
+  /// a read at interned access site \p Site, a call of interned module
+  /// \p Mod.
+  Bits hookReadMem(uint16_t Site, uint64_t Addr);
+  Bits hookCallExtern(const ast::ExternCallExpr &Call, uint16_t Mod,
+                      const Bits *Args, unsigned NumArgs);
 
   /// bc::Hooks impl for the bytecode interpreter: one virtual dispatch per
   /// mem-read / extern-call site, no std::function on the hot path.
   struct BcDispatch final : bc::Hooks {
     System *Sys = nullptr;
-    Bits readMem(const ast::MemReadExpr &Site, uint64_t Addr) override {
-      return Sys->hookReadMem(Site, Addr);
+    Bits readMem(const bc::ExprProgram &P, unsigned Site,
+                 uint64_t Addr) override {
+      return Sys->hookReadMem(P.MemAccess[Site], Addr);
     }
-    Bits callExtern(const ast::ExternCallExpr &Site, const Bits *Args,
+    Bits callExtern(const bc::ExprProgram &P, unsigned Site, const Bits *Args,
                     unsigned NumArgs) override {
-      return Sys->hookCallExtern(Site, Args, NumArgs);
+      return Sys->hookCallExtern(*P.ExternSites[Site], P.ExternMods[Site],
+                                 Args, NumArgs);
     }
   };
   BcDispatch Dispatch;
@@ -669,8 +694,10 @@ private:
   std::shared_ptr<const bc::ModuleIR> IR;
   /// Reusable probe-pass frame, sized to the largest pipe FrameSize.
   std::vector<Bits> ProbeScratch;
-  /// Reusable argument buffer for extern invocations.
+  /// Reusable argument buffers for extern value calls and for verify's
+  /// predictor update (whose argument programs may themselves call externs).
   std::vector<Bits> ArgScratch;
+  std::vector<Bits> UpdateArgs;
   /// Legacy tree-walking evaluation (ElabConfig::EvalTree / PDL_EVAL_TREE).
   bool TreeMode = false;
   /// Superinstruction-fused bytecode (ElabConfig::EvalFused /
@@ -685,7 +712,7 @@ private:
   std::map<std::string, hw::ExternModule *> Externs;
   std::vector<PendingEnq> PendingEnqs;
   std::vector<PendingTag> PendingTags;
-  std::deque<Delivery> Deliveries;
+  std::vector<Delivery> Deliveries; // in request order
   /// Storage for the elaborated memory-hierarchy models, plus the shared
   /// single-ported backings keyed by MemConfig::ShareTag.
   std::vector<std::unique_ptr<mem::MemModel>> OwnedModels;

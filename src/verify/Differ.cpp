@@ -140,6 +140,14 @@ DiffResult verify::runDiff(const std::string &AsmSource, const DiffConfig &C) {
   Golden.setHaltStore(cores::HaltByteAddr);
   uint64_t GoldenInstrs = Golden.run(4 * C.MaxCycles + 64);
 
+  // The sinks are declared before the Core: its System delivers end() to
+  // them when it is destroyed, on every return path.
+  obs::CounterSink Counters;
+  obs::LogSink Log;
+  MonitorSink Monitors;
+  std::ofstream VcdOS;
+  std::unique_ptr<obs::VcdWriter> Vcd;
+
   cores::Core Core(C.Kind, cores::PredictorKind::Bht2Bit, C.Profile);
   backend::System &Sys = Core.system();
   // Let older in-flight work (e.g. a load miss parked in writeback behind
@@ -147,11 +155,6 @@ DiffResult verify::runDiff(const std::string &AsmSource, const DiffConfig &C) {
   // architectural state is comparable against the golden model.
   Sys.setDrainOnHalt(true);
 
-  obs::CounterSink Counters;
-  obs::LogSink Log;
-  MonitorSink Monitors;
-  std::ofstream VcdOS;
-  std::unique_ptr<obs::VcdWriter> Vcd;
   Sys.attachSink(Counters);
   if (C.WantDigest)
     Sys.attachSink(Log);

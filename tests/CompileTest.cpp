@@ -56,11 +56,11 @@ unsigned countOps(const bc::ExprProgram &P, bc::Op O) {
 /// Hooks that must never fire: the tests below only compile pure
 /// expressions (no memory reads, no extern calls).
 struct NoHooks final : bc::Hooks {
-  Bits readMem(const ast::MemReadExpr &, uint64_t) override {
+  Bits readMem(const bc::ExprProgram &, unsigned, uint64_t) override {
     ADD_FAILURE() << "unexpected memory read";
     return Bits();
   }
-  Bits callExtern(const ast::ExternCallExpr &, const Bits *,
+  Bits callExtern(const bc::ExprProgram &, unsigned, const Bits *,
                   unsigned) override {
     ADD_FAILURE() << "unexpected extern call";
     return Bits();

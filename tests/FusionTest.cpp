@@ -63,11 +63,11 @@ unsigned countOps(const bc::ExprProgram &P, bc::Op O) {
 
 /// The tests below only fuse pure expressions: no hook may ever fire.
 struct NoHooks final : bc::Hooks {
-  Bits readMem(const ast::MemReadExpr &, uint64_t) override {
+  Bits readMem(const bc::ExprProgram &, unsigned, uint64_t) override {
     ADD_FAILURE() << "unexpected memory read";
     return Bits();
   }
-  Bits callExtern(const ast::ExternCallExpr &, const Bits *,
+  Bits callExtern(const bc::ExprProgram &, unsigned, const Bits *,
                   unsigned) override {
     ADD_FAILURE() << "unexpected extern call";
     return Bits();
@@ -346,8 +346,8 @@ TEST(FusionTest, SnapshotRoundTripBetweenFusedBlocks) {
       riscv::assemble(verify::generateProgram(G));
 
   struct Rig {
+    obs::LogSink Log; // declared first: the System delivers end() to it
     cores::Core Core;
-    obs::LogSink Log;
     explicit Rig(const std::vector<uint32_t> &Words)
         : Core(cores::CoreKind::Pdl5Stage) {
       Core.system().setDrainOnHalt(true);

@@ -34,11 +34,11 @@ namespace {
 
 /// BcGen programs are pure; no hook may ever fire.
 struct NoHooks final : bc::Hooks {
-  Bits readMem(const ast::MemReadExpr &, uint64_t) override {
+  Bits readMem(const bc::ExprProgram &, unsigned, uint64_t) override {
     ADD_FAILURE() << "unexpected memory read";
     return Bits();
   }
-  Bits callExtern(const ast::ExternCallExpr &, const Bits *,
+  Bits callExtern(const bc::ExprProgram &, unsigned, const Bits *,
                   unsigned) override {
     ADD_FAILURE() << "unexpected extern call";
     return Bits();

@@ -12,8 +12,9 @@
 ///    same text (so trace digests match). Checked across the full core x
 ///    memory-profile golden matrix.
 ///  * corruption safety — a flipped byte, a truncation, trailing garbage,
-///    or a snapshot from a differently-configured System is rejected by
-///    restore(), never silently loaded.
+///    a blob in the previous format version, or a snapshot from a
+///    differently-configured System is rejected by restore(), never
+///    silently loaded.
 ///  * service-job checkpoints — runDiff's CkptEvery/ResumeBlob plumbing
 ///    produces results byte-identical to an uninterrupted run, and
 ///    rejects damaged blobs with outcome "resume_rejected".
@@ -55,8 +56,8 @@ constexpr uint64_t kMaxCycles = 50000;
 
 /// A core with the runDiff sink arrangement: drain-on-halt, one LogSink.
 struct Rig {
+  obs::LogSink Log; // declared first: the System delivers end() to it
   cores::Core Core;
-  obs::LogSink Log;
 
   Rig(cores::CoreKind Kind, const cores::CoreMemProfile &Profile,
       const std::vector<uint32_t> &Words)
@@ -180,6 +181,34 @@ TEST(SnapshotTest, CorruptBlobsRejected) {
   Rig Fresh(cores::CoreKind::Pdl5Stage, cores::memProfileAlwaysHit(), Words);
   std::string Err;
   EXPECT_TRUE(Fresh.sys().restore(Blob, &Err)) << Err;
+}
+
+TEST(SnapshotTest, PreviousFormatVersionRejected) {
+  const std::vector<uint32_t> Words = riscv::assemble(pinnedProgram());
+  Rig A(cores::CoreKind::Pdl5Stage, cores::memProfileAlwaysHit(), Words);
+  A.sys().start(A.Core.cpu(), {Bits(0, 32)});
+  A.sys().run(60);
+  const std::string Blob = A.sys().snapshot();
+
+  // Layout: [magic u32][version u32]...[crc32 u32], little-endian. Stamp
+  // the previous format version and recompute the CRC trailer, so the
+  // version check — not the CRC — is what refuses the blob.
+  ASSERT_GT(Blob.size(), 12u);
+  support::BinReader In(Blob.data() + 4, 4);
+  const uint32_t Version = In.u32();
+  ASSERT_GE(Version, 2u);
+  support::BinWriter Stamp;
+  Stamp.u32(Version - 1);
+  std::string Old = Blob;
+  Old.replace(4, 4, Stamp.buffer());
+  support::BinWriter Crc;
+  Crc.u32(support::crc32(Old.data(), Old.size() - 4));
+  Old.replace(Old.size() - 4, 4, Crc.buffer());
+
+  Rig Fresh(cores::CoreKind::Pdl5Stage, cores::memProfileAlwaysHit(), Words);
+  std::string Err;
+  EXPECT_FALSE(Fresh.sys().restore(Old, &Err));
+  EXPECT_EQ(Err, "unsupported snapshot version");
 }
 
 TEST(SnapshotTest, ConfigDigestMismatchRejected) {

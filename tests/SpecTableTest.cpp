@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 using namespace pdl;
 using namespace pdl::hw;
 
@@ -94,6 +97,159 @@ TEST(FifoTest, RemoveIfSquashesSelectedItems) {
   EXPECT_EQ(F.size(), 2u);
   EXPECT_EQ(F.deq(), 1);
   EXPECT_EQ(F.deq(), 3);
+}
+
+// The FIFO is a fixed ring of slots; these pin the deque behaviour it
+// replaced: order across wrap-around, squashing, fault arms, restore.
+
+/// Oldest-first contents.
+std::vector<int> items(const Fifo<int> &F) {
+  return std::vector<int>(F.begin(), F.end());
+}
+
+/// Records listener events as (enqueue?, item, depth after).
+struct Recorder : Fifo<int>::Listener {
+  std::vector<std::tuple<bool, int, size_t>> Log;
+  void onEnq(const int &X, size_t Depth) override {
+    Log.emplace_back(true, X, Depth);
+  }
+  void onDeq(const int &X, size_t Depth) override {
+    Log.emplace_back(false, X, Depth);
+  }
+};
+
+/// A depth-3 FIFO whose head has advanced past slot 0, holding \p N items
+/// (N <= 3) that are 10, 11, ... in order.
+Fifo<int> wrapped(unsigned N) {
+  Fifo<int> F(3);
+  F.enq(0);
+  F.enq(0);
+  F.deq();
+  F.deq();
+  for (unsigned I = 0; I != N; ++I)
+    F.enq(10 + int(I));
+  return F;
+}
+
+TEST(FifoTest, WrapsAroundPastCapacity) {
+  Fifo<int> F(3);
+  Recorder R;
+  F.setListener(&R);
+  for (int X = 1; X <= 3; ++X)
+    F.enq(X);
+  EXPECT_FALSE(F.canEnq());
+  // Each round frees the oldest slot and reuses it for a newer item.
+  for (int X = 4; X <= 10; ++X) {
+    EXPECT_EQ(F.deq(), X - 3);
+    F.enq(X);
+    EXPECT_EQ(F.size(), 3u);
+    EXPECT_EQ(F.front(), X - 2);
+    EXPECT_EQ(items(F), (std::vector<int>{X - 2, X - 1, X}));
+  }
+  EXPECT_EQ(R.Log.size(), 3u + 2 * 7);
+  EXPECT_EQ(R.Log.back(), std::make_tuple(true, 10, size_t(3)));
+  EXPECT_EQ(F.deq(), 8);
+  EXPECT_EQ(R.Log.back(), std::make_tuple(false, 8, size_t(2)));
+  EXPECT_EQ(F.deq(), 9);
+  EXPECT_EQ(F.deq(), 10);
+  EXPECT_TRUE(F.empty());
+}
+
+TEST(FifoTest, RemoveIfAfterWrapKeepsOrder) {
+  Fifo<int> F = wrapped(3); // 10 11 12, occupying slots 2, 0, 1
+  F.removeIf([](int X) { return X == 11; });
+  EXPECT_EQ(items(F), (std::vector<int>{10, 12}));
+  EXPECT_TRUE(F.canEnq());
+  F.enq(13);
+  EXPECT_EQ(items(F), (std::vector<int>{10, 12, 13}));
+  F.removeIf([](int X) { return X != 13; });
+  EXPECT_EQ(items(F), (std::vector<int>{13}));
+  F.enq(14);
+  F.enq(15);
+  EXPECT_FALSE(F.canEnq());
+  EXPECT_EQ(F.deq(), 13);
+  EXPECT_EQ(F.deq(), 14);
+  EXPECT_EQ(F.deq(), 15);
+  F.removeIf([](int) { return true; });
+  EXPECT_TRUE(F.empty());
+}
+
+TEST(FifoTest, DropArmAtFullAndNonFullDepth) {
+  for (unsigned Depth : {0u, 2u}) { // the dropped enqueue would fill slot 3
+    SCOPED_TRACE(Depth);
+    Fifo<int> F = wrapped(Depth);
+    Recorder R;
+    F.setListener(&R);
+    unsigned Fired = 0;
+    F.armDropNext(1, [&] { ++Fired; });
+    F.enq(99);
+    EXPECT_EQ(Fired, 1u);
+    EXPECT_EQ(F.size(), Depth);
+    EXPECT_TRUE(R.Log.empty()); // a dropped item emits no event
+    EXPECT_EQ(F.dropArm(), 0u);
+    F.enq(20);
+    EXPECT_EQ(F.size(), Depth + 1);
+    EXPECT_EQ(items(F).back(), 20);
+  }
+}
+
+TEST(FifoTest, DupArmAtFullAndNonFullDepth) {
+  // Room for the copy: both land, each with its own event.
+  Fifo<int> F = wrapped(1);
+  Recorder R;
+  F.setListener(&R);
+  unsigned Fired = 0;
+  F.armDupNext(1, [&] { ++Fired; });
+  F.enq(7);
+  EXPECT_EQ(Fired, 1u);
+  EXPECT_EQ(items(F), (std::vector<int>{10, 7, 7}));
+  EXPECT_EQ(R.Log.size(), 2u);
+  EXPECT_EQ(R.Log[1], std::make_tuple(true, 7, size_t(3)));
+
+  // The duplicated enqueue fills the FIFO: the copy is silently lost.
+  Fifo<int> G = wrapped(2);
+  Fired = 0;
+  G.armDupNext(1, [&] { ++Fired; });
+  G.enq(7);
+  EXPECT_EQ(Fired, 1u);
+  EXPECT_EQ(items(G), (std::vector<int>{10, 11, 7}));
+}
+
+TEST(FifoTest, CorruptArmAtFullAndNonFullDepth) {
+  for (unsigned Depth : {0u, 2u}) {
+    SCOPED_TRACE(Depth);
+    Fifo<int> F = wrapped(Depth);
+    F.armCorruptNext(2, [](int &X) { X ^= 0x100; });
+    F.enq(1);
+    EXPECT_EQ(F.corruptArm(), 1u);
+    if (Depth == 2) {
+      EXPECT_FALSE(F.canEnq());
+      F.deq();
+    }
+    F.enq(2); // the armed one: mutated before it is stored
+    EXPECT_EQ(F.corruptArm(), 0u);
+    EXPECT_EQ(items(F).back(), 2 ^ 0x100);
+    EXPECT_EQ(items(F)[items(F).size() - 2], 1);
+  }
+}
+
+TEST(FifoTest, RestoreItemsReplacesContentsSilently) {
+  Fifo<int> F = wrapped(2);
+  Recorder R;
+  F.setListener(&R);
+  F.armDropNext(1);
+  F.restoreItems({7, 8, 9});
+  EXPECT_EQ(items(F), (std::vector<int>{7, 8, 9}));
+  EXPECT_FALSE(F.canEnq());
+  EXPECT_TRUE(R.Log.empty()); // no events, and the drop arm did not fire
+  EXPECT_EQ(F.dropArm(), 1u);
+  EXPECT_EQ(F.deq(), 7);
+  F.restoreItems({});
+  EXPECT_TRUE(F.empty());
+  F.restoreItems({5});
+  EXPECT_EQ(F.front(), 5);
+  F.enq(6); // the still-armed drop swallows this one
+  EXPECT_EQ(items(F), (std::vector<int>{5}));
 }
 
 TEST(BhtTest, LearnsTakenBranches) {

@@ -68,11 +68,12 @@ namespace {
 /// Generated bc-fuzz programs are pure by construction — any hook dispatch
 /// is a generator bug worth an immediate loud stop.
 struct NullHooks : backend::bc::Hooks {
-  Bits readMem(const ast::MemReadExpr &, uint64_t) override {
+  Bits readMem(const backend::bc::ExprProgram &, unsigned,
+               uint64_t) override {
     std::fprintf(stderr, "pdlfuzz: --bc-fuzz program called readMem\n");
     std::abort();
   }
-  Bits callExtern(const ast::ExternCallExpr &, const Bits *,
+  Bits callExtern(const backend::bc::ExprProgram &, unsigned, const Bits *,
                   unsigned) override {
     std::fprintf(stderr, "pdlfuzz: --bc-fuzz program called callExtern\n");
     std::abort();
